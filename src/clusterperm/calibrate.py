@@ -28,7 +28,15 @@ from .errors import (
     InfeasibleLevelError,
     ShapeError,
 )
-from .permkit import Design, RngStream, sample_assignments, weight_matrix
+from .permkit import (
+    Design,
+    RngStream,
+    _as_generator,
+    count_at_or_above,
+    positive_int,
+    sample_assignments,
+    weight_matrix,
+)
 from .permtest import AlphaEntry, order_index_from_level, size_bound
 
 _BLOCK_TARGET = 24_000_000  # float32 scratch entries per first-pass block
@@ -62,9 +70,7 @@ class CalibrationParams:
 
     def __post_init__(self):
         for name in ("R", "S1", "S2", "m", "enumeration_threshold"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or int(v) != v or v < 1:
-                raise DomainError(f"{name} must be a positive integer, got {v!r}")
+            positive_int(name, getattr(self, name))
         if not (0 < self.top_fraction <= 1):
             raise DomainError(
                 f"top_fraction must lie in (0,1], got {self.top_fraction}")
@@ -78,14 +84,6 @@ class CalibrationParams:
         if isinstance(self.seed, bool) or int(self.seed) != self.seed \
                 or not (0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit integer, got {self.seed!r}")
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise DomainError(f"rng must be an RngStream or numpy Generator, got {rng!r}")
 
 
 def _checked_variances(variances, q: int) -> np.ndarray:
@@ -107,8 +105,7 @@ def rejection_rate(design: Design, order_index_or_level, variances,
     a level p in (0,1), mapped to j = ceil((1-p)*n).
     """
     v = _checked_variances(variances, design.q)
-    if isinstance(S, bool) or int(S) != S or S < 1:
-        raise DomainError(f"S must be a positive integer, got {S!r}")
+    S = positive_int("S", S)
     n = design.n_assignments
     if isinstance(order_index_or_level, (int, np.integer)) \
             and not isinstance(order_index_or_level, bool):
@@ -122,13 +119,13 @@ def rejection_rate(design: Design, order_index_or_level, variances,
     sigma = np.sqrt(v)
     thr = n - j
     hits = 0
-    block = max(1, min(int(S), _BLOCK_TARGET // n))
+    block = max(1, min(S, _BLOCK_TARGET // n))
     done = 0
     while done < S:
         b = min(block, S - done)
         x = gen.standard_normal((b, design.q)) * sigma
         vals = x @ w
-        c = (vals >= vals[:, :1]).sum(axis=1)
+        c = count_at_or_above(vals)
         hits += int((c <= thr).sum())
         done += b
     return hits / S
@@ -156,7 +153,7 @@ class _TwoPassEngine:
         self.params = params
         self.root = root
         self.q, self.cols = self.w32.shape
-        dtype = np.int16 if self.cols < 30_000 else np.int32
+        self.dtype = dtype = np.int16 if self.cols < 30_000 else np.int32
         self._c2_cache: dict[int, np.ndarray] = {}
         self._sig32 = np.sqrt(variances).astype(np.float32)
         R, S1 = params.R, params.S1
@@ -171,7 +168,7 @@ class _TwoPassEngine:
                 x[i] = gen.standard_normal((S1, self.q), dtype=np.float32)
                 x[i] *= self._sig32[r]
             vals = x[:b].reshape(b * S1, self.q) @ self.w32
-            c = (vals >= vals[:, :1]).sum(axis=1, dtype=dtype)
+            c = count_at_or_above(vals, dtype)
             self.c1[start:start + b] = c.reshape(b, S1)
 
     def _second_pass_counts(self, r: int) -> np.ndarray:
@@ -182,9 +179,7 @@ class _TwoPassEngine:
         S2 = self.params.S2
         x = gen.standard_normal((S2, self.q), dtype=np.float32) * self._sig32[r]
         vals = x @ self.w32
-        c = (vals >= vals[:, :1]).sum(axis=1,
-                                      dtype=np.int16 if self.cols < 30_000
-                                      else np.int32)
+        c = count_at_or_above(vals, self.dtype)
         self._c2_cache[r] = c
         return c
 

@@ -155,14 +155,18 @@ def _cmd_bound(ns):
 def _calibration_params(ns) -> CalibrationParams:
     base = CalibrationParams()
     overrides = {}
-    valid = {f.name: f.type for f in fields(CalibrationParams)}
+    valid = {f.name for f in fields(CalibrationParams)}
     for item in ns.param:
         name, sep, value = item.partition("=")
         if not sep or name not in valid:
             raise DomainError(f"unknown calibration parameter {item!r}; "
                               f"valid names: {', '.join(sorted(valid))}")
-        current = getattr(base, name)
-        overrides[name] = type(current)(value)
+        kind = type(getattr(base, name))
+        try:
+            overrides[name] = kind(value)
+        except ValueError:
+            raise DomainError(f"calibration parameter {name} must be "
+                              f"{kind.__name__}, got {value!r}") from None
     if ns.seed is not None:
         overrides["seed"] = ns.seed
     return replace(base, **overrides)
@@ -183,10 +187,7 @@ def _cmd_alpha(ns):
             raise DomainError("--param requires --calibrate")
         entry = lookup_bar_alpha(ns.q1, ns.q0, ns.alpha)
         seed = None
-    payload = {"command": "alpha", "q1": ns.q1, "q0": ns.q0,
-               "alpha": ns.alpha, "bar_alpha": entry.bar_alpha,
-               "order_index": entry.order_index, "source": entry.source,
-               "starred": entry.starred}
+    payload = {"command": "alpha", **entry.to_json_dict()}
     text = (f"bar_alpha={entry.bar_alpha:.4f} "
             f"order_index={entry.order_index} source={entry.source}")
     if seed is not None:
@@ -310,7 +311,7 @@ def _csv_record(payload: dict) -> str:
             return ""
         if isinstance(v, (list, tuple)):
             return " ".join(str(x) for x in v)
-        text = str(v)
+        text = json.dumps(v) if isinstance(v, dict) else str(v)
         return '"%s"' % text.replace('"', '""') if "," in text else text
 
     keys = list(payload)

@@ -1,10 +1,16 @@
-"""Assignment machinery for the cluster permutation test.
+"""Relabeling machinery for the cluster permutation test.
 
 An assignment relabels which q1 of the q clusters count as treated.
 Because the comparison-of-means statistic ignores order within each
-group, assignments are represented canonically as the sorted treated
-index subset, and the full assignment collection is the set of all
-C(q, q1) such subsets.
+group, an assignment is its sorted treated index subset.
+
+Array contract: a collection of m assignments is one (m, q1) integer
+array whose rows hold 0-based, strictly increasing treated indices in
+[0, q), with the identity arange(q1) in row 0.  Rows may repeat (a
+sample is drawn with replacement).  `check_assignments` enforces the
+contract; `assignment_blocks` yields the full collection in
+lexicographic order, identity first; `count_at_or_above` is the test's
+tie rule.
 """
 
 from __future__ import annotations
@@ -12,13 +18,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ShapeError
+from .errors import CapacityError, ContractError, DomainError, ShapeError
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
+_BLOCK_ROWS = 1 << 18  # assignments per enumeration block
+_SAMPLE_ROWS = 1 << 14  # draws per sampling block
+
+
+def positive_int(name: str, value) -> int:
+    """value as an int; DomainError unless it is a positive integer."""
+    try:
+        ok = not isinstance(value, bool) and int(value) == value and value >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -30,10 +49,7 @@ class Design:
 
     def __post_init__(self) -> None:
         for name in ("q1", "q0"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or int(v) != v or int(v) < 1:
-                raise DomainError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, positive_int(name, getattr(self, name)))
 
     @property
     def q(self) -> int:
@@ -43,33 +59,6 @@ class Design:
     def n_assignments(self) -> int:
         """C(q, q1), computed with exact integer arithmetic."""
         return math.comb(self.q, self.q1)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Canonical relabeling: the treated index subset, 1-based and sorted."""
-
-    treated: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        t = tuple(int(i) for i in self.treated)
-        if len(t) == 0:
-            raise DomainError("an assignment needs at least one treated index")
-        if any(i < 1 for i in t):
-            raise DomainError(f"treated indices must be >= 1, got {t}")
-        if any(x >= y for x, y in zip(t, t[1:])):
-            raise DomainError(f"treated indices must be strictly increasing, got {t}")
-        object.__setattr__(self, "treated", t)
-
-    def control(self, q: int) -> tuple[int, ...]:
-        """Sorted complement of the treated set in {1, ..., q}."""
-        ts = set(self.treated)
-        return tuple(i for i in range(1, q + 1) if i not in ts)
-
-
-def identity_assignment(design: Design) -> Assignment:
-    """The original labeling: clusters 1..q1 treated."""
-    return Assignment(tuple(range(1, design.q1 + 1)))
 
 
 @dataclass(frozen=True)
@@ -108,93 +97,102 @@ class RngStream:
         return RngStream(self.seed, self.stream_id, self.subkey + key)
 
 
-def enumerate_assignments(design: Design,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> list[Assignment]:
-    """All C(q, q1) assignments in lexicographic order, identity first."""
+def _as_generator(rng) -> np.random.Generator:
+    if isinstance(rng, RngStream):
+        return rng.generator()
+    if isinstance(rng, np.random.Generator):
+        return rng
+    raise DomainError(f"rng must be an RngStream or numpy Generator, got {rng!r}")
+
+
+def assignment_blocks(design: Design) -> Iterator[np.ndarray]:
+    """All C(q, q1) assignments in lexicographic order, identity first,
+    as consecutive (k, q1) index blocks, so a caller never has to hold
+    the whole collection at once."""
     n = design.n_assignments
-    if n > cap:
+    if n > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
-            f"full enumeration needs {n} assignments, above the cap of {cap}; "
-            "use sample_assignments instead")
-    return [Assignment(combo)
-            for combo in itertools.combinations(range(1, design.q + 1), design.q1)]
+            f"full enumeration needs {n} assignments, above the cap of "
+            f"{DEFAULT_ENUMERATION_CAP}; pass sampled assignments instead")
+    combos = itertools.combinations(range(design.q), design.q1)
+
+    def blocks():
+        while chunk := list(itertools.islice(combos, _BLOCK_ROWS)):
+            yield np.asarray(chunk, dtype=np.intp)
+    return blocks()
+
+
+def check_assignments(design: Design, assignments) -> np.ndarray:
+    """The collection as an (m, q1) intp array, or an error if it breaks
+    the array contract (see the module docstring)."""
+    a = np.asarray(assignments)
+    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] != design.q1:
+        raise ShapeError(f"assignments must be a nonempty (m, {design.q1}) "
+                         f"array, got shape {a.shape}")
+    if a.dtype.kind not in "iu":
+        raise DomainError(f"assignments must be integers, got dtype {a.dtype}")
+    if a.min() < 0 or a.max() >= design.q:
+        raise ShapeError(f"treated indices must lie in [0, {design.q})")
+    if np.any(a[:, 1:] <= a[:, :-1]):
+        raise DomainError("treated indices must be strictly increasing in every row")
+    if np.any(a[0] != np.arange(design.q1)):
+        raise ContractError("row 0 of the assignments must be the identity "
+                            f"arange({design.q1})")
+    return a.astype(np.intp, copy=False)
+
+
+def count_at_or_above(values: np.ndarray, dtype=None) -> np.ndarray:
+    """The test's tie rule: along the last axis of `values`, which holds
+    one statistic per assignment with the identity's first, the number
+    of assignments whose statistic is >= the identity's.  The p-value is
+    this count over the collection size, and the test at order index j
+    rejects iff the count is at most size - j."""
+    return (values >= values[..., :1]).sum(axis=-1, dtype=dtype)
 
 
 def sample_assignments(design: Design, m: int, include_identity: bool = True,
-                       rng: RngStream | None = None) -> list[Assignment]:
-    """m iid uniform draws from the assignment collection, with replacement.
+                       rng: RngStream | None = None) -> np.ndarray:
+    """m iid uniform draws from the assignment collection, with
+    replacement, as an (m, q1) array.
 
-    When include_identity is set, the first element is replaced by the
-    identity assignment so p-values computed from the sample stay
-    bounded away from zero.
+    When include_identity is set, row 0 is replaced by the identity so
+    the sample meets the array contract and p-values computed from it
+    stay bounded away from zero.
     """
-    if isinstance(m, bool) or int(m) != m or int(m) < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    m = positive_int("m", m)
     if rng is None:
         raise DomainError("sample_assignments requires an RngStream")
-    m = int(m)
     gen = rng.generator()
-    # rank q uniforms per draw; the q1 smallest form a uniform random subset
-    keys = gen.random((m, design.q))
-    idx = np.argpartition(keys, design.q1 - 1, axis=1)[:, :design.q1]
-    idx = np.sort(idx, axis=1) + 1
-    out = [Assignment(tuple(int(i) for i in row)) for row in idx]
+    idx = np.empty((m, design.q1), dtype=np.intp)
+    # rank q uniforms per draw; the q1 smallest form a uniform random
+    # subset.  Row blocks consume the stream exactly as one (m, q) draw
+    # would, with a fraction of its scratch memory.
+    for lo in range(0, m, _SAMPLE_ROWS):
+        keys = gen.random((min(_SAMPLE_ROWS, m - lo), design.q))
+        part = np.argpartition(keys, design.q1 - 1, axis=1)[:, :design.q1]
+        idx[lo:lo + len(keys)] = np.sort(part, axis=1)
     if include_identity:
-        out[0] = identity_assignment(design)
-    return out
+        idx[0] = np.arange(design.q1)
+    return idx
 
 
-def assignment_variance(a: Assignment, sigmas: Sequence[float]) -> float:
-    """Variance of the relabeled comparison of means under independent
-    N(mu, sigma_k^2) entries: sum of sigma_k^2/q1^2 over the treated set
-    plus sigma_k^2/q0^2 over the complement."""
-    s = np.asarray(sigmas, dtype=float)
-    if s.ndim != 1:
-        raise ShapeError(f"sigmas must be a vector, got shape {s.shape}")
-    q = s.size
-    q1 = len(a.treated)
-    q0 = q - q1
-    if q0 < 1:
-        raise ShapeError(
-            f"sigmas has length {q} but the assignment treats {q1} clusters")
-    if max(a.treated) > q:
-        raise ShapeError(
-            f"treated index {max(a.treated)} exceeds the number of clusters {q}")
-    if not np.all(np.isfinite(s)) or np.any(s <= 0):
-        raise DomainError("all standard deviations must be finite and positive")
-    treated = np.zeros(q, dtype=bool)
-    treated[np.asarray(a.treated) - 1] = True
-    var = float(np.sum(s[treated] ** 2) / q1**2 + np.sum(s[~treated] ** 2) / q0**2)
-    return var
-
-
-def weight_matrix(design: Design,
-                  assignments: Iterable[Assignment] | None = None,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Column-per-assignment weight matrix W of shape (q, n).
+def weight_matrix(design: Design, assignments=None) -> np.ndarray:
+    """Column-per-assignment weight matrix W of shape (q, m).
 
     Column i holds +1/q1 on that assignment's treated indices and -1/q0
     elsewhere, so a data matrix X of row vectors maps to all relabeled
     statistics at once via X @ W.  With assignments=None the full
-    lexicographic enumeration is used (identity in column 0) without
-    materializing Assignment objects.
+    lexicographic enumeration is used (identity in column 0).
     """
-    q, q1, q0 = design.q, design.q1, design.q0
     if assignments is None:
         n = design.n_assignments
-        if n * q > cap:
+        if n * design.q > DEFAULT_ENUMERATION_CAP:
             raise CapacityError(
-                f"weight matrix would hold {n * q} entries, above the cap of {cap}")
-        w = np.full((q, n), -1.0 / q0)
-        for i, combo in enumerate(itertools.combinations(range(q), q1)):
-            w[combo, i] = 1.0 / q1
-        return w
-    alist = list(assignments)
-    if not alist:
-        raise ShapeError("assignments must be nonempty")
-    idx = np.array([a.treated for a in alist], dtype=np.int64) - 1
-    if idx.shape[1] != q1 or idx.max() >= q:
-        raise ShapeError("assignment treated sets do not match the design")
-    w = np.full((q, len(alist)), -1.0 / q0)
-    w[idx.T, np.arange(len(alist))] = 1.0 / q1
+                f"weight matrix would hold {n * design.q} entries, above the "
+                f"cap of {DEFAULT_ENUMERATION_CAP}")
+        idx = np.concatenate(list(assignment_blocks(design)))
+    else:
+        idx = check_assignments(design, assignments)
+    w = np.full((design.q, len(idx)), -1.0 / design.q0)
+    w[idx.T, np.arange(len(idx))] = 1.0 / design.q1
     return w

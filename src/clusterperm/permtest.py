@@ -5,35 +5,33 @@ Because cluster variances may differ arbitrarily, comparing the statistic
 to the usual 1-alpha permutation quantile can over-reject; the adjusted
 test instead uses the permutation quantile at a smaller level bar_alpha,
 chosen (per cluster counts and alpha) so that worst-case size stays at or
-below alpha.  This module houses the statistic, permutation distribution,
-critical values, p-values, the worst-case size bound, the embedded
-bar_alpha table, and the end-to-end test decision.
+below alpha.  This module houses the statistic, p-values, the worst-case
+size bound, the embedded bar_alpha table, and the end-to-end test
+decision.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    CapacityError,
-    ContractError,
     DegeneracyWarning,
     DomainError,
     InfeasibleLevelError,
     ShapeError,
 )
 from .permkit import (
-    DEFAULT_ENUMERATION_CAP,
-    Assignment,
     Design,
-    identity_assignment,
+    assignment_blocks,
+    check_assignments,
+    count_at_or_above,
+    positive_int,
 )
 
 _SIDES = ("right", "left", "two-sided")
@@ -114,28 +112,15 @@ def size_bound(q1: int, q0: int) -> float:
     second-largest value of its permutation distribution:
     2^-(q1 min q0) + 2^-((q1 max q0)+1) - 2^-(q1+q0).
     """
-    for name, v in (("q1", q1), ("q0", q0)):
-        if isinstance(v, bool) or int(v) != v or int(v) < 1:
-            raise DomainError(f"{name} must be a positive integer, got {v!r}")
+    positive_int("q1", q1)
+    positive_int("q0", q0)
     lo, hi = min(q1, q0), max(q1, q0)
     return 0.5**lo + 0.5**(hi + 1) - 0.5**(q1 + q0)
 
 
 # ---------------------------------------------------------------------------
-# permutation distribution and its quantiles
+# order statistics and p-values
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PermDistribution:
-    """Sorted relabeled statistic values plus their provenance."""
-
-    sorted_values: np.ndarray
-    source: str = "full-enumeration"
-
-    @property
-    def n(self) -> int:
-        return int(self.sorted_values.size)
-
 
 def order_index_from_level(p: float | Fraction, n: int) -> int:
     """The 1-based order-statistic index ceil((1-p)*n) for a level p.
@@ -152,85 +137,37 @@ def order_index_from_level(p: float | Fraction, n: int) -> int:
     return math.ceil((1 - frac) * n)
 
 
-def _enumerated_values(x: np.ndarray, design: Design, cap: int) -> np.ndarray:
-    """Statistic under every assignment, identity first, lexicographic.
+def _statistic_values(x: np.ndarray, design: Design,
+                      assignments) -> tuple[np.ndarray, str]:
+    """(values, source label) of the statistic under each assignment of
+    the collection (the full enumeration when None), identity first.
 
     T(gx) depends on g only through the treated-entry sum, so each value
-    is coef * sum(treated) - sum(all)/q0 with coef = 1/q1 + 1/q0.
+    is coef * sum(treated) - sum(all)/q0 with coef = 1/q1 + 1/q0.  The
+    full enumeration is summed block by block, never holding all of its
+    index rows at once.
     """
-    n = design.n_assignments
-    if n > cap:
-        raise CapacityError(
-            f"full enumeration needs {n} assignments, above the cap of {cap}; "
-            "pass sampled assignments instead")
-    q1, q0 = design.q1, design.q0
-    coef = 1.0 / q1 + 1.0 / q0
-    base = float(x.sum()) / q0
-    out = np.empty(n, dtype=float)
-    pos = 0
-    combos = itertools.combinations(range(design.q), q1)
-    while True:
-        chunk = list(itertools.islice(combos, 1 << 18))
-        if not chunk:
-            break
-        idx = np.asarray(chunk, dtype=np.intp)
-        out[pos:pos + len(chunk)] = coef * x[idx].sum(axis=1) - base
-        pos += len(chunk)
-    return out
-
-
-def _statistic_values(x: np.ndarray, design: Design,
-                      assignments: Sequence[Assignment] | None,
-                      cap: int) -> tuple[np.ndarray, int, str]:
-    """(values, identity position, source label) for a given assignment set."""
-    if assignments is None:
-        return _enumerated_values(x, design, cap), 0, "full-enumeration"
-    alist = list(assignments)
-    if not alist:
-        raise ShapeError("assignments must be nonempty")
-    idx = np.array([a.treated for a in alist], dtype=np.intp) - 1
-    if idx.shape[1] != design.q1 or idx.min() < 0 or idx.max() >= design.q:
-        raise ShapeError("assignments do not match the design")
     coef = 1.0 / design.q1 + 1.0 / design.q0
     base = float(x.sum()) / design.q0
-    vals = coef * x[idx].sum(axis=1) - base
-    ident = identity_assignment(design).treated
-    id_pos = next((i for i, a in enumerate(alist) if a.treated == ident), -1)
-    label = ("full-enumeration" if len(alist) == design.n_assignments
-             and id_pos == 0 else f"sampled(m={len(alist)})")
-    return vals, id_pos, label
+    if assignments is None:
+        out = np.empty(design.n_assignments, dtype=float)
+        pos = 0
+        for idx in assignment_blocks(design):
+            out[pos:pos + len(idx)] = coef * x[idx].sum(axis=1) - base
+            pos += len(idx)
+        return out, "full-enumeration"
+    idx = check_assignments(design, assignments)
+    label = ("full-enumeration" if len(idx) == design.n_assignments
+             else f"sampled(m={len(idx)})")
+    return coef * x[idx].sum(axis=1) - base, label
 
 
-def permutation_distribution(x: ClusterEstimates,
-                             assignments: Sequence[Assignment] | None = None,
-                             source: str | None = None,
-                             cap: int = DEFAULT_ENUMERATION_CAP) -> PermDistribution:
-    """Sorted statistic values under the given (or fully enumerated)
-    assignment collection."""
-    vals, _, label = _statistic_values(x.values, x.design, assignments, cap)
-    vals = np.sort(vals)
-    vals.flags.writeable = False
-    return PermDistribution(sorted_values=vals, source=source or label)
-
-
-def critical_value(dist: PermDistribution, p: float) -> float:
-    """The ceil((1-p)*n)-th smallest value of the distribution."""
-    j = order_index_from_level(p, dist.n)
-    return float(dist.sorted_values[j - 1])
-
-
-def p_value(x: ClusterEstimates,
-            assignments: Sequence[Assignment] | None = None,
-            cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def p_value(x: ClusterEstimates, assignments=None) -> float:
     """Fraction of assignments whose relabeled statistic is >= the
-    observed one.  Requires the identity among the assignments, so the
-    result is always >= 1/n."""
-    vals, id_pos, _ = _statistic_values(x.values, x.design, assignments, cap)
-    if id_pos < 0:
-        raise ContractError(
-            "p_value requires the identity assignment among the assignments")
-    t_obs = vals[id_pos]
-    return float((vals >= t_obs).sum() / vals.size)
+    observed one.  The identity heads every collection, so the result
+    is always >= 1/n."""
+    vals, _ = _statistic_values(x.values, x.design, assignments)
+    return float(count_at_or_above(vals) / vals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +396,8 @@ class TestOutcome:
 
 def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
                   side: str = "right", lam: float = 0.0,
-                  assignments: Sequence[Assignment] | None = None,
-                  alpha_entry: AlphaEntry | None = None,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> TestOutcome:
+                  assignments=None,
+                  alpha_entry: AlphaEntry | None = None) -> TestOutcome:
     """Run the level-adjusted permutation test.
 
     The null mean difference lam is subtracted from the treated entries
@@ -471,6 +407,8 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
     one-sided tests at the adjustment for alpha/2 and rejects if either
     does; equivalently p_value_two_sided <= 2*bar_alpha_used.
 
+    assignments is an (m, q1) array under the permkit array contract
+    (identity in row 0); None enumerates the full collection.
     bar_alpha comes from the embedded table unless alpha_entry overrides
     it (e.g. with a calibrated entry; for two-sided tests supply an entry
     calibrated at alpha/2).
@@ -490,30 +428,28 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
     x = theta_hat.values.copy()
     x[:design.q1] -= lam
 
-    alist = list(assignments) if assignments is not None else None
     if bool(np.all(x == x[0])):
         warnings.warn(
             "all cluster estimates coincide after the lambda shift; the "
             "permutation distribution is a point mass and the test retains",
             DegeneracyWarning, stacklevel=2)
-        n = len(alist) if alist is not None else design.n_assignments
+        if assignments is None:
+            n, source = design.n_assignments, "full-enumeration"
+        else:
+            n = len(check_assignments(design, assignments))
+            source = f"sampled(m={n})"
         return TestOutcome(
             statistic=0.0, critical_value=0.0, p_value_right=1.0,
             p_value_left=1.0, p_value_two_sided=1.0, decision="retain",
             side=side, alpha=alpha, bar_alpha_used=entry.bar_alpha, lam=lam,
-            n_assignments=n,
-            assignment_source="full-enumeration" if alist is None
-            else f"sampled(m={n})")
+            n_assignments=n, assignment_source=source)
 
-    vals, id_pos, source = _statistic_values(x, design, alist, cap)
-    if id_pos < 0:
-        raise ContractError(
-            "adjusted_test requires the identity assignment among the "
-            "supplied assignments")
+    vals, source = _statistic_values(x, design, assignments)
     n = vals.size
-    t_obs = float(vals[id_pos])
-    count_ge = int((vals >= t_obs).sum())
-    count_le = int((vals <= t_obs).sum())
+    t_obs = float(vals[0])
+    count_ge = int(count_at_or_above(vals))
+    # the left side is the right side's rule on negated data
+    count_le = int(count_at_or_above(-vals))
     p_right = count_ge / n
     p_left = count_le / n
     p_two = min(1.0, 2.0 * min(p_right, p_left))

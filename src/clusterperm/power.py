@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BracketError, DomainError, NumericalError, ShapeError
 from .numerics import (
     Tolerance,
@@ -26,7 +24,6 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .permkit import Design
 
 _T_EDGE = 1e-10          # integration window is (edge, 1 - edge)
 _INVERSE_TOL = 1e-10     # |F0(result) - t| tolerance for the inverse
@@ -172,21 +169,3 @@ def power_lower_bound(spec: PowerSpec) -> float:
     for a, b in zip(knots, knots[1:]):
         val += adaptive_quadrature(integrand, a, b, tol)
     return min(1.0, max(0.0, val))
-
-
-def local_power_bound(delta: float, sigmas_at_theta0, design: Design) -> float:
-    """Same integral, with one flat sigma vector split by the design.
-
-    Intended for drifting-alternative calculations where sigma is the
-    asymptotic standard deviation of each cluster estimate at the null
-    and delta is the local drift; the arithmetic is identical to
-    power_lower_bound.
-    """
-    sig = tuple(float(s) for s in np.asarray(sigmas_at_theta0, dtype=float))
-    if len(sig) != design.q:
-        raise ShapeError(
-            f"expected {design.q} standard deviations for q1={design.q1}, "
-            f"q0={design.q0}; got {len(sig)}")
-    spec = PowerSpec(delta=delta, sigmas_treated=sig[:design.q1],
-                     sigmas_control=sig[design.q1:])
-    return power_lower_bound(spec)

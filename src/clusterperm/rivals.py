@@ -35,10 +35,8 @@ from .errors import (
     ShapeError,
 )
 from .numerics import student_t_cdf, student_t_quantile
-from .permkit import RngStream
-from .permtest import ClusterEstimates, TestOutcome
-
-_SIDES = ("right", "left", "two-sided")
+from .permkit import RngStream, _as_generator, positive_int
+from .permtest import _SIDES, ClusterEstimates, TestOutcome
 
 
 @dataclass(frozen=True)
@@ -231,17 +229,6 @@ def bch_test(data: Mapping[str, object], spec: PooledRegressionSpec,
          "adjustment": adj})
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng)).generator()
-    raise DomainError("rng must be an RngStream, a numpy Generator, or an "
-                      "integer seed")
-
-
 def wild_cluster_bootstrap_test(data: Mapping[str, object],
                                 spec: PooledRegressionSpec, alpha: float,
                                 side: str = "right", B: int = 199,
@@ -262,9 +249,12 @@ def wild_cluster_bootstrap_test(data: Mapping[str, object],
     and that tie must not be lost to roundoff.
     """
     _check_test_args(alpha, side)
-    if not (isinstance(B, (int, np.integer)) and B >= 1):
-        raise DomainError(f"B must be a positive integer, got {B!r}")
-    gen = _as_generator(rng if rng is not None else RngStream(0))
+    B = positive_int("B", B)
+    if rng is None:
+        rng = RngStream(0)
+    elif isinstance(rng, (int, np.integer)):
+        rng = RngStream(int(rng))
+    gen = _as_generator(rng)
 
     y, x, codes, q, adj, bread, coef, u, t_idx, se = _fit(data, spec)
     if se == 0.0:
@@ -300,7 +290,7 @@ def wild_cluster_bootstrap_test(data: Mapping[str, object],
     m = np.zeros((q, q))
     np.add.at(m, codes, w * xa[:, None])
 
-    signs = gen.integers(0, 2, size=(int(B), q)).astype(float) * 2.0 - 1.0
+    signs = gen.integers(0, 2, size=(B, q)).astype(float) * 2.0 - 1.0
     coef_star = signs @ rho
     var_star = adj * np.square(signs @ m.T).sum(axis=1)
     t_star = np.divide(coef_star, np.sqrt(var_star),
@@ -328,6 +318,6 @@ def wild_cluster_bootstrap_test(data: Mapping[str, object],
         p_value_right=p_right, p_value_left=p_left, p_value_two_sided=p_two,
         decision="reject" if p_used <= alpha else "retain",
         side=side, alpha=alpha, bar_alpha_used=None,
-        n_assignments=int(B), assignment_source="bootstrap",
+        n_assignments=B, assignment_source="bootstrap",
         method="wild-cluster-bootstrap",
-        extra={"coefficient": float(coef[t_idx]), "se": se, "B": int(B)})
+        extra={"coefficient": float(coef[t_idx]), "se": se, "B": B})

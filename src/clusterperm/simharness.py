@@ -39,7 +39,13 @@ from .errors import (
     ShapeError,
 )
 from .numerics import student_t_quantile
-from .permkit import Design, RngStream, weight_matrix
+from .permkit import (
+    Design,
+    RngStream,
+    _as_generator,
+    count_at_or_above,
+    weight_matrix,
+)
 from .permtest import lookup_bar_alpha
 from .rivals import dof_adjustment
 
@@ -182,15 +188,9 @@ def ar1_simulate(rho: float, innovations, burn_in: int = 0,
     if isinstance(innovations, (int, np.integer)):
         if rng is None:
             raise ContractError("drawing innovations by count requires rng")
-        if isinstance(rng, RngStream):
-            gen = rng.generator()
-        elif isinstance(rng, np.random.Generator):
-            gen = rng
-        elif isinstance(rng, (int, np.integer)):
-            gen = RngStream(int(rng)).generator()
-        else:
-            raise DomainError("rng must be an RngStream, Generator, or seed")
-        v = gen.standard_normal(int(innovations))
+        if isinstance(rng, (int, np.integer)):
+            rng = RngStream(int(rng))
+        v = _as_generator(rng).standard_normal(int(innovations))
     else:
         v = np.asarray(innovations, dtype=float)
         if v.ndim != 1:
@@ -269,32 +269,26 @@ def parse_key_value_file(path) -> dict[str, str]:
 
 
 def _coerce_mapping(cls, mapping):
-    converters = {
-        float: float,
-        int: int,
-        "int": int,
-        "float": float,
-    }
     kwargs = {}
     known = {f.name: f for f in fields(cls)}
-    for key, value in mapping.items():
-        if key not in known:
-            raise DomainError(f"unknown config key {key!r} for "
-                              f"{cls.__name__}")
-        default = known[key].default
-        if isinstance(default, tuple) or key.endswith("_grid"):
-            parts = [p for p in str(value).split(",") if p.strip() != ""]
-            elem = int if key == "h_grid" else float
-            kwargs[key] = tuple(elem(p) for p in parts)
-        elif isinstance(default, bool):
-            kwargs[key] = str(value).lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
-            kwargs[key] = int(value)
-        elif isinstance(default, float):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
     try:
+        for key, value in mapping.items():
+            if key not in known:
+                raise DomainError(f"unknown config key {key!r} for "
+                                  f"{cls.__name__}")
+            default = known[key].default
+            if isinstance(default, tuple) or key.endswith("_grid"):
+                parts = [p for p in str(value).split(",") if p.strip() != ""]
+                elem = int if key == "h_grid" else float
+                kwargs[key] = tuple(elem(p) for p in parts)
+            elif isinstance(default, bool):
+                kwargs[key] = str(value).lower() in ("1", "true", "yes")
+            elif isinstance(default, int):
+                kwargs[key] = int(value)
+            elif isinstance(default, float):
+                kwargs[key] = float(value)
+            else:
+                kwargs[key] = value
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"bad config for {cls.__name__}: {exc}") from None
@@ -335,7 +329,7 @@ def _normal_block(cfg: NormalLocationConfig, lo: int, hi: int):
         mu[:cfg.q1] = mu1
         x = mu + scaled
         stats = x @ w
-        ap = (stats >= stats[:, :1]).sum(axis=1) <= count_max
+        ap = count_at_or_above(stats) <= count_max
         m1 = x[:, :cfg.q1].mean(axis=1)
         m0 = x[:, cfg.q1:].mean(axis=1)
         v1 = x[:, :cfg.q1].var(axis=1, ddof=1) / cfg.q1
@@ -485,7 +479,7 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
             theta = np.einsum("bkde,bke->bkd", gram_loc_inv, rhs,
                               optimize=True)[..., 0]
             stats = theta @ w_perm
-            ap = (stats >= stats[:, :1]).sum(axis=1) <= count_max
+            ap = count_at_or_above(stats) <= count_max
             m1 = theta[:, :cfg.q1].mean(axis=1)
             m0 = theta[:, cfg.q1:].mean(axis=1)
             v1 = theta[:, :cfg.q1].var(axis=1, ddof=1) / cfg.q1

@@ -5,6 +5,8 @@ capsys and exit codes come from the return value, so no subprocesses
 are needed.
 """
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -114,6 +116,37 @@ class TestAlphaCommand:
                                "S1=100", "--param", "S2=200", "--json")
         assert code == 0
         assert isinstance(json.loads(out)["seed"], int)
+
+    def test_calibrate_json_carries_diagnostics(self, capsys):
+        code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                               "--alpha", "0.10", "--calibrate",
+                               "exhaustive", "--seed", "3", "--param",
+                               "R=50", "--param", "S1=50", "--param",
+                               "S2=100", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_assignments"] == 70
+        assert "binding" in payload["diagnostics"]
+        assert payload["diagnostics"]["params"]["R"] == 50
+
+    def test_calibrate_csv_diagnostics_cell_is_json(self, capsys):
+        code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                               "--alpha", "0.10", "--calibrate",
+                               "exhaustive", "--seed", "3", "--param",
+                               "R=50", "--param", "S1=50", "--param",
+                               "S2=100", "--csv")
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert json.loads(row["diagnostics"])["params"]["R"] == 50
+
+    def test_bad_calibration_parameter_value_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                               "--alpha", "0.1", "--calibrate",
+                               "exhaustive", "--param", "R=abc")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "abc" in error["message"]
 
     def test_unknown_calibration_parameter(self, capsys):
         code, _, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
@@ -324,6 +357,17 @@ class TestSimulateCommand:
                                "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "bogus" in json.loads(err)["error"]["message"]
+
+    def test_bad_config_value_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("replications=abc\n")
+        code, _, err = run_cli(capsys, "simulate", "--study", "normal",
+                               "--config", str(cfg),
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "abc" in error["message"]
 
     def test_missing_config_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--study", "did",

@@ -1,4 +1,5 @@
-"""Tests for assignment enumeration, sampling, and variance arithmetic."""
+"""Tests for assignment enumeration, sampling, the array contract, and
+the weight matrix.  Enumeration oracles come from itertools.combinations."""
 
 from __future__ import annotations
 
@@ -12,21 +13,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from clusterperm.errors import CapacityError, DomainError, ShapeError
+from clusterperm.errors import CapacityError, ContractError, DomainError, ShapeError
 from clusterperm.permkit import (
-    Assignment,
     Design,
     RngStream,
-    assignment_variance,
-    enumerate_assignments,
-    identity_assignment,
+    assignment_blocks,
+    check_assignments,
     sample_assignments,
     weight_matrix,
 )
+from clusterperm.permtest import AlphaEntry, ClusterEstimates, adjusted_test, p_value
+
+
+def _all_assignments(design: Design) -> np.ndarray:
+    """Oracle: the full collection, lexicographic, from itertools."""
+    return np.array(list(itertools.combinations(range(design.q), design.q1)))
+
+
+def _enumerated(design: Design) -> np.ndarray:
+    return np.concatenate(list(assignment_blocks(design)))
+
+
+def _relabeled_variance(w: np.ndarray, sigmas) -> np.ndarray:
+    """Variance of each column's relabeled statistic under independent
+    N(mu, sigma_k^2) entries: sigma^2 weighted by the squared weights."""
+    return np.square(np.asarray(sigmas, dtype=float)) @ np.square(w)
 
 
 # ===========================================================================
-# Design / Assignment basics
+# Design / assignment array basics
 # ===========================================================================
 
 class TestDesign:
@@ -48,17 +63,53 @@ class TestDesign:
 
 class TestAssignment:
     def test_control_complement(self):
-        a = Assignment((1, 3))
-        assert a.control(5) == (2, 4, 5)
+        # the control set of a relabeling is the complement of its
+        # treated set: exactly the -1/q0 entries of its column
+        w = weight_matrix(Design(2, 3), [[0, 1], [0, 2]])
+        assert np.flatnonzero(w[:, 1] < 0).tolist() == [1, 3, 4]
 
     def test_must_increase(self):
+        d = Design(2, 2)
         with pytest.raises(DomainError):
-            Assignment((2, 2))
+            check_assignments(d, [[0, 1], [1, 1]])
         with pytest.raises(DomainError):
-            Assignment((3, 1))
+            check_assignments(d, [[0, 1], [2, 0]])
 
     def test_identity(self):
-        assert identity_assignment(Design(3, 2)).treated == (1, 2, 3)
+        out = sample_assignments(Design(3, 2), 5, rng=RngStream(1))
+        assert out[0].tolist() == [0, 1, 2]
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("bad,error", [
+        ([[0, 1, 2], [0, 1, 3]], ShapeError),          # wrong width
+        ([0, 1], ShapeError),                          # not two-dimensional
+        (np.empty((0, 2), dtype=int), ShapeError),     # empty
+        ([[0, 1], [-1, 2]], ShapeError),               # negative index
+        ([[0, 1], [2, 4]], ShapeError),                # index >= q
+        ([[0, 1], [2, 2]], DomainError),               # repeated index
+        ([[0, 1], [3, 1]], DomainError),               # unsorted row
+        ([[0.0, 1.0], [1.0, 2.0]], DomainError),       # not integers
+        ([[1, 2], [0, 1]], ContractError),             # row 0 not the identity
+    ])
+    def test_malformed_arrays_raise(self, bad, error):
+        d = Design(2, 2)
+        with pytest.raises(error):
+            check_assignments(d, bad)
+        with pytest.raises(error):
+            weight_matrix(d, bad)
+        x = ClusterEstimates(d, [3.0, 1.0, 0.5, -1.0])
+        with pytest.raises(error):
+            p_value(x, bad)
+        # design (2, 2) has no tabulated level, so supply one
+        entry = AlphaEntry(q1=2, q0=2, alpha=0.5, bar_alpha=0.5,
+                           order_index=3, source="calibrated")
+        with pytest.raises(error):
+            adjusted_test(x, alpha=0.5, assignments=bad, alpha_entry=entry)
+
+    def test_duplicate_rows_allowed(self):
+        a = check_assignments(Design(2, 2), [[0, 1], [2, 3], [2, 3]])
+        assert a.shape == (3, 2) and a.dtype == np.intp
 
 
 # ===========================================================================
@@ -67,34 +118,33 @@ class TestAssignment:
 
 class TestEnumeration:
     def test_one_one(self):
-        out = enumerate_assignments(Design(1, 1))
-        assert [a.treated for a in out] == [(1,), (2,)]
+        assert _enumerated(Design(1, 1)).tolist() == [[0], [1]]
 
     def test_two_one(self):
-        out = enumerate_assignments(Design(2, 1))
-        assert [a.treated for a in out] == [(1, 2), (1, 3), (2, 3)]
+        assert _enumerated(Design(2, 1)).tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_four_four_count(self):
-        out = enumerate_assignments(Design(4, 4))
-        assert len(out) == 70
+        assert len(_enumerated(Design(4, 4))) == 70
 
     def test_identity_first_lexicographic(self):
-        out = enumerate_assignments(Design(3, 3))
-        assert out[0] == identity_assignment(Design(3, 3))
-        treated = [a.treated for a in out]
-        assert treated == sorted(treated)
+        out = _enumerated(Design(3, 3))
+        assert out[0].tolist() == [0, 1, 2]
+        rows = [tuple(r) for r in out.tolist()]
+        assert rows == sorted(rows)
 
     @pytest.mark.parametrize("q1,q0", [(q1, q0) for q1 in range(1, 7)
                                        for q0 in range(1, 7)])
     def test_exhaustive_no_duplicates(self, q1, q0):
         d = Design(q1, q0)
-        out = enumerate_assignments(d)
-        assert len(out) == d.n_assignments
-        assert len({a.treated for a in out}) == d.n_assignments
+        out = _enumerated(d)
+        assert np.array_equal(out, _all_assignments(d))
+        assert len({tuple(r) for r in out.tolist()}) == d.n_assignments
+        check_assignments(d, out)  # meets the array contract
 
     def test_cap(self):
+        # C(26, 13) = 10,400,600 is above the 10M enumeration cap
         with pytest.raises(CapacityError):
-            enumerate_assignments(Design(12, 12), cap=1000)
+            assignment_blocks(Design(13, 13))
 
 
 # ===========================================================================
@@ -105,21 +155,32 @@ class TestSampling:
     def test_single_draw_identity(self):
         out = sample_assignments(Design(3, 2), 1, include_identity=True,
                                  rng=RngStream(1))
-        assert out == [identity_assignment(Design(3, 2))]
+        assert out.tolist() == [[0, 1, 2]]
+
+    def test_draws_match_one_block(self):
+        # sampling in row blocks must consume the stream exactly as one
+        # (m, q) draw of uniform keys would
+        d, m = Design(5, 4), 40_003
+        keys = RngStream(9, 2).generator().random((m, d.q))
+        oracle = np.sort(np.argpartition(keys, d.q1 - 1, axis=1)[:, :d.q1],
+                         axis=1)
+        oracle[0] = np.arange(d.q1)
+        out = sample_assignments(d, m, rng=RngStream(9, 2))
+        assert np.array_equal(out, oracle)
 
     def test_determinism(self):
         d = Design(4, 3)
         a = sample_assignments(d, 50, rng=RngStream(42, 7))
         b = sample_assignments(d, 50, rng=RngStream(42, 7))
-        assert a == b
+        assert np.array_equal(a, b)
         c = sample_assignments(d, 50, rng=RngStream(42, 8))
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_uniformity_small(self):
         d = Design(2, 2)
         out = sample_assignments(d, 10**5, include_identity=False,
                                  rng=RngStream(123))
-        freq = Counter(a.treated for a in out)
+        freq = Counter(map(tuple, out.tolist()))
         assert len(freq) == 6
         for count in freq.values():
             assert count / 10**5 == pytest.approx(1 / 6, abs=0.01)
@@ -129,20 +190,20 @@ class TestSampling:
         d = Design(4, 4)
         m = 10**5
         out = sample_assignments(d, m, include_identity=False, rng=RngStream(7))
-        freq = Counter(a.treated for a in out)
+        freq = Counter(map(tuple, out.tolist()))
         n_cells = d.n_assignments
         expected = m / n_cells
         chi2 = sum((freq.get(c, 0) - expected) ** 2 / expected
-                   for c in (tuple(i + 1 for i in combo)
-                             for combo in itertools.combinations(range(8), 4)))
+                   for c in itertools.combinations(range(8), 4))
         crit = stats.chi2.ppf(0.999, df=n_cells - 1)
         assert chi2 < crit
 
     def test_all_elements_valid(self):
         d = Design(3, 4)
-        for a in sample_assignments(d, 500, rng=RngStream(5)):
-            assert len(a.treated) == 3
-            assert 1 <= min(a.treated) and max(a.treated) <= 7
+        out = sample_assignments(d, 500, rng=RngStream(5))
+        assert out.shape == (500, 3)
+        assert out.min() >= 0 and out.max() <= 6
+        check_assignments(d, out)  # sorted rows, identity first
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -185,25 +246,22 @@ class TestRngStream:
 
 class TestAssignmentVariance:
     def test_balanced_unit(self):
-        a = identity_assignment(Design(2, 2))
-        assert assignment_variance(a, [1, 1, 1, 1]) == pytest.approx(1.0)
+        w = weight_matrix(Design(2, 2))
+        assert _relabeled_variance(w, [1, 1, 1, 1])[0] == pytest.approx(1.0)
 
     def test_one_one(self):
-        a = identity_assignment(Design(1, 1))
-        assert assignment_variance(a, [2, 3]) == pytest.approx(13.0)
+        w = weight_matrix(Design(1, 1))
+        assert _relabeled_variance(w, [2, 3])[0] == pytest.approx(13.0)
 
     def test_balanced_invariant_to_assignment(self):
         d = Design(3, 3)
         sig = [0.3, 1.7, 2.2, 0.9, 5.0, 1.1]
-        base = assignment_variance(identity_assignment(d), sig)
-        for a in enumerate_assignments(d):
-            assert assignment_variance(a, sig) == pytest.approx(base)
+        var = _relabeled_variance(weight_matrix(d), sig)
+        assert np.allclose(var, var[0])
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            assignment_variance(Assignment((1, 2, 9)), [1, 1, 1, 1])
-        with pytest.raises(DomainError):
-            assignment_variance(Assignment((1, 2)), [1.0, -1.0, 1.0, 1.0])
+            weight_matrix(Design(2, 2), [[0, 1], [1, 8]])
 
     @given(
         q1=st.integers(1, 5), q0=st.integers(1, 5),
@@ -216,10 +274,8 @@ class TestAssignmentVariance:
         d = Design(q1, q0)
         gen = np.random.default_rng(seed)
         sig = gen.uniform(0.05, 20.0, size=d.q)
-        assignments = enumerate_assignments(d)
-        a = assignments[gen.integers(len(assignments))]
-        ratio = assignment_variance(a, sig) / assignment_variance(
-            identity_assignment(d), sig)
+        var = _relabeled_variance(weight_matrix(d), sig)
+        ratio = var[gen.integers(var.size)] / var[0]
         lo = min(q1 / q0, q0 / q1) ** 2
         hi = max(q1 / q0, q0 / q1) ** 2
         assert lo - 1e-12 <= ratio <= hi + 1e-12
@@ -233,18 +289,17 @@ class TestWeightMatrix:
     def test_matches_assignment_objects(self):
         d = Design(3, 2)
         full = weight_matrix(d)
-        via_objects = weight_matrix(d, enumerate_assignments(d))
-        assert np.allclose(full, via_objects)
+        via_array = weight_matrix(d, _all_assignments(d))
+        assert np.array_equal(full, via_array)
 
     def test_columns_encode_statistic(self):
         d = Design(2, 3)
         x = np.array([5.0, -1.0, 2.0, 0.5, 3.0])
         w = weight_matrix(d)
         vals = x @ w
-        for i, a in enumerate(enumerate_assignments(d)):
-            t = np.asarray(a.treated) - 1
+        for i, combo in enumerate(itertools.combinations(range(5), 2)):
             mask = np.zeros(5, dtype=bool)
-            mask[t] = True
+            mask[list(combo)] = True
             direct = x[mask].mean() - x[~mask].mean()
             assert vals[i] == pytest.approx(direct, abs=1e-12)
 
@@ -255,5 +310,6 @@ class TestWeightMatrix:
         assert np.all(w[4:, 0] == -0.25)
 
     def test_cap(self):
+        # C(22, 11) * 22 = 15.5M entries, above the 10M cap
         with pytest.raises(CapacityError):
-            weight_matrix(Design(10, 10), cap=100)
+            weight_matrix(Design(11, 11))

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterperm.errors import (
+    CapacityError,
     ContractError,
     DegeneracyWarning,
     DomainError,
@@ -26,7 +27,6 @@ from clusterperm.errors import (
 from clusterperm.permkit import (
     Design,
     RngStream,
-    enumerate_assignments,
     sample_assignments,
     weight_matrix,
 )
@@ -35,12 +35,10 @@ from clusterperm.permtest import (
     ClusterEstimates,
     adjusted_test,
     comparison_of_means,
-    critical_value,
     lookup_bar_alpha,
     max_characterization,
     order_index_from_level,
     p_value,
-    permutation_distribution,
     size_bound,
     tabulated_cells,
 )
@@ -60,6 +58,22 @@ def _brute_force_values(x: np.ndarray, q1: int) -> list[float]:
 def _estimates(values, q1: int) -> ClusterEstimates:
     values = np.asarray(values, dtype=float)
     return ClusterEstimates(Design(q1, values.size - q1), values)
+
+
+def _all_assignments(design: Design) -> np.ndarray:
+    """Oracle: the full collection as an (N, q1) array, identity first."""
+    return np.array(list(itertools.combinations(range(design.q), design.q1)))
+
+
+def _sorted_values(x: ClusterEstimates, assignments=None) -> np.ndarray:
+    """The sorted permutation distribution, via the weight matrix."""
+    return np.sort(x.values @ weight_matrix(x.design, assignments))
+
+
+def _critical_value(sorted_values: np.ndarray, p: float) -> float:
+    """The ceil((1-p)*n)-th smallest value of the distribution."""
+    j = order_index_from_level(p, sorted_values.size)
+    return float(sorted_values[j - 1])
 
 
 # ===========================================================================
@@ -83,64 +97,62 @@ class TestComparisonOfMeans:
 
 class TestPermutationDistribution:
     def test_three_point(self):
-        dist = permutation_distribution(_estimates([2, 1, 0], 1))
-        assert np.allclose(dist.sorted_values, [-1.5, 0.0, 1.5])
-        assert dist.source == "full-enumeration"
+        vals = _sorted_values(_estimates([2, 1, 0], 1))
+        assert np.allclose(vals, [-1.5, 0.0, 1.5])
 
     def test_constant(self):
-        dist = permutation_distribution(_estimates([4.2] * 5, 2))
-        assert np.all(dist.sorted_values == 0.0)
+        vals = _sorted_values(_estimates([4.2] * 5, 2))
+        assert np.allclose(vals, 0.0, atol=1e-12)
 
     def test_matches_brute_force(self):
         gen = np.random.default_rng(3)
         for q1, q0 in [(1, 3), (2, 2), (3, 2), (4, 4)]:
             x = gen.normal(size=q1 + q0)
-            dist = permutation_distribution(_estimates(x, q1))
+            vals = _sorted_values(_estimates(x, q1))
             oracle = sorted(_brute_force_values(x, q1))
-            assert np.allclose(dist.sorted_values, oracle, atol=1e-12)
+            assert np.allclose(vals, oracle, atol=1e-12)
 
     def test_balanced_negation_antisymmetry(self):
         gen = np.random.default_rng(4)
         x = gen.normal(size=8)
-        d_pos = permutation_distribution(_estimates(x, 4))
-        d_neg = permutation_distribution(_estimates(-x, 4))
-        assert np.allclose(d_neg.sorted_values, -d_pos.sorted_values[::-1])
+        d_pos = _sorted_values(_estimates(x, 4))
+        d_neg = _sorted_values(_estimates(-x, 4))
+        assert np.allclose(d_neg, -d_pos[::-1])
 
     def test_explicit_assignments_match_enumeration(self):
         x = np.array([0.3, -1.2, 0.8, 2.2, -0.5])
         d = Design(2, 3)
-        full = permutation_distribution(ClusterEstimates(d, x))
-        via = permutation_distribution(ClusterEstimates(d, x),
-                                       enumerate_assignments(d))
-        assert np.array_equal(full.sorted_values, via.sorted_values)
+        full = _sorted_values(ClusterEstimates(d, x))
+        via = _sorted_values(ClusterEstimates(d, x), _all_assignments(d))
+        assert np.array_equal(full, via)
 
 
 class TestCriticalValue:
     def setup_method(self):
-        self.dist = permutation_distribution(_estimates([2, 1, 0], 1))
+        self.dist = _sorted_values(_estimates([2, 1, 0], 1))
 
     def test_level_010(self):
         # ceil(0.9 * 3) = 3 -> third smallest
-        assert critical_value(self.dist, 0.10) == pytest.approx(1.5)
+        assert _critical_value(self.dist, 0.10) == pytest.approx(1.5)
 
     def test_level_040(self):
         # ceil(0.6 * 3) = 2 -> second smallest
-        assert critical_value(self.dist, 0.40) == pytest.approx(0.0)
+        assert _critical_value(self.dist, 0.40) == pytest.approx(0.0)
 
     def test_tiny_level_gives_max(self):
-        assert critical_value(self.dist, 1e-9) == pytest.approx(1.5)
+        assert _critical_value(self.dist, 1e-9) == pytest.approx(1.5)
 
     def test_level_domain(self):
         with pytest.raises(DomainError):
-            critical_value(self.dist, 0.0)
+            _critical_value(self.dist, 0.0)
         with pytest.raises(DomainError):
-            critical_value(self.dist, 1.0)
+            _critical_value(self.dist, 1.0)
 
     def test_monotone_nonincreasing_in_p(self):
         gen = np.random.default_rng(11)
-        dist = permutation_distribution(_estimates(gen.normal(size=8), 4))
+        dist = _sorted_values(_estimates(gen.normal(size=8), 4))
         levels = np.linspace(0.01, 0.99, 57)
-        crits = [critical_value(dist, float(p)) for p in levels]
+        crits = [_critical_value(dist, float(p)) for p in levels]
         assert all(a >= b for a, b in zip(crits, crits[1:]))
 
 
@@ -187,10 +199,16 @@ class TestPValue:
 
     def test_identity_required(self):
         d = Design(2, 2)
-        draws = enumerate_assignments(d)[1:]  # every assignment but identity
+        draws = _all_assignments(d)[1:]  # every assignment but identity
         x = ClusterEstimates(d, [3.0, 1.0, 0.5, -1.0])
         with pytest.raises(ContractError):
             p_value(x, draws)
+
+    def test_enumeration_cap(self):
+        # C(26, 13) = 10,400,600 relabelings, above the 10M cap
+        x = ClusterEstimates(Design(13, 13), np.arange(26.0))
+        with pytest.raises(CapacityError):
+            p_value(x)
 
 
 # ===========================================================================
@@ -381,7 +399,7 @@ class TestAdjustedTest:
 
     def test_sampled_without_identity_rejected(self):
         d = Design(4, 4)
-        draws = enumerate_assignments(d)[1:51]  # identity dropped
+        draws = _all_assignments(d)[1:51]  # identity dropped
         x = np.arange(8.0)
         with pytest.raises(ContractError):
             adjusted_test(ClusterEstimates(d, x), alpha=0.10, assignments=draws)
@@ -398,6 +416,39 @@ class TestAdjustedTest:
         assert d["n_assignments"] == 70
         assert d["decision"] in ("reject", "retain")
         assert d["bar_alpha"] == pytest.approx(0.0428)
+
+
+class TestExplicitFullEnumeration:
+    """The full collection passed as an explicit (N, q1) array must give
+    exactly what assignments=None gives, on data where ties abound."""
+
+    @pytest.mark.parametrize("q1,q0", [(q1, q0) for q1 in range(1, 7)
+                                       for q0 in range(1, 7)])
+    def test_tie_heavy_integers(self, q1, q0):
+        d = Design(q1, q0)
+        n = d.n_assignments
+        # bar_alpha = 1/2 gives an order index in [1, n-1] for every n >= 2
+        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha=0.5,
+                           order_index=order_index_from_level(0.5, n),
+                           source="calibrated")
+        every = _all_assignments(d)
+        gen = np.random.default_rng(100 * q1 + q0)
+        for _ in range(4):
+            x = gen.integers(-2, 3, size=d.q).astype(float)
+            if np.all(x == x[0]):
+                x[0] += 1.0  # keep the data off the degenerate path
+            est = ClusterEstimates(d, x)
+            for side in ("right", "left", "two-sided"):
+                full = adjusted_test(est, alpha=0.5, side=side,
+                                     alpha_entry=entry)
+                via = adjusted_test(est, alpha=0.5, side=side,
+                                    assignments=every, alpha_entry=entry)
+                assert via.p_value_right == full.p_value_right
+                assert via.p_value_left == full.p_value_left
+                assert via.p_value_two_sided == full.p_value_two_sided
+                assert via.decision == full.decision
+                assert via.critical_value == full.critical_value
+                assert via == full
 
 
 # ===========================================================================
@@ -491,11 +542,14 @@ class TestDistributionalProperties:
         q0 = int(gen.integers(2, 5))
         x = gen.normal(size=q1 + q0)
         est = ClusterEstimates(Design(q1, q0), x)
-        dist = permutation_distribution(est)
-        t = comparison_of_means(est)
+        vals = x @ weight_matrix(est.design)
+        dist = np.sort(vals)
+        # the identity's value in the distribution's own arithmetic, so
+        # the comparison against its own order statistic is exact
+        t = vals[0]
         pv = p_value(est)
-        n = dist.n
+        n = dist.size
         for p in (0.01, 0.05, 0.13, 0.25, 0.5, 0.77, 0.94):
-            lhs = t > critical_value(dist, p)
+            lhs = t > _critical_value(dist, p)
             rhs = Fraction(int(round(pv * n)), n) <= Fraction(p)
             assert lhs == rhs

@@ -15,12 +15,10 @@ import pytest
 from scipy.stats import norm
 
 from clusterperm.errors import DomainError, ShapeError
-from clusterperm.permkit import Design
 from clusterperm.power import (
     PowerSpec,
     f0_cdf,
     f0_inverse,
-    local_power_bound,
     power_lower_bound,
 )
 
@@ -163,27 +161,3 @@ class TestPowerLowerBound:
         vals = [power_lower_bound(PowerSpec(d, sig_t, sig_c))
                 for d in (0.0, 1.0, 2.0, 4.0, 8.0)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-class TestLocalPowerBound:
-    def test_matches_global_form(self):
-        d = Design(2, 3)
-        sig = (0.5, 2.0, 1.0, 0.7, 3.0)
-        direct = power_lower_bound(PowerSpec(1.3, sig[:2], sig[2:]))
-        assert local_power_bound(1.3, sig, d) == pytest.approx(direct, abs=1e-12)
-
-    def test_zero_drift(self):
-        d = Design(4, 4)
-        val = local_power_bound(0.0, np.ones(8), d)
-        assert val == pytest.approx(1 / 70, abs=1e-6)
-
-    def test_scale_invariance(self):
-        d = Design(3, 2)
-        sig = np.array([1.0, 0.4, 2.2, 0.9, 1.7])
-        a = local_power_bound(2.0, sig, d)
-        b = local_power_bound(2.0 * 11, sig * 11, d)
-        assert abs(a - b) <= 1e-9
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            local_power_bound(1.0, np.ones(5), Design(4, 4))

@@ -10,7 +10,6 @@ compare them.
 """
 
 from .errors import (
-    BracketError,
     CapacityError,
     ClusterPermError,
     ContractError,
@@ -28,7 +27,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError",
     "CapacityError",
     "ClusterPermError",
     "ContractError",

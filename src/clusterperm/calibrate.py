@@ -336,8 +336,7 @@ def calibrate_sampled(design: Design, alpha: float,
         raise DomainError(f"start must lie in (0,1), got {start}")
     root = rng if rng is not None else RngStream(params.seed)
     m = params.m
-    draws = sample_assignments(design, m, include_identity=True,
-                               rng=root.derived(3))
+    draws = sample_assignments(design, m, rng=root.derived(3))
     V = _draw_variances(params, root, design.q, variance_draws)
     engine = _TwoPassEngine(weight_matrix(design, draws), V, params, root)
     limit = alpha + params.tolerance_eta

@@ -218,7 +218,6 @@ def _cmd_test(ns):
         if design.n_assignments > ns.sample_m:
             seed = ns.seed if ns.seed is not None else secrets.randbits(31)
             assignments = sample_assignments(design, ns.sample_m,
-                                             include_identity=True,
                                              rng=RngStream(seed))
     outcome = adjusted_test(estimates, ns.alpha, side=ns.side, lam=ns.lam,
                             assignments=assignments)

@@ -75,10 +75,6 @@ class NumericalError(ClusterPermError):
         self.partial = partial
 
 
-class BracketError(NumericalError):
-    """Root finder could not bracket a sign change."""
-
-
 class DegeneracyWarning(UserWarning):
     """Data were degenerate (e.g. constant estimates); a conservative
     answer was returned instead of an error."""

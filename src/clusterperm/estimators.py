@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     ContractError,
@@ -32,7 +32,6 @@ from .errors import (
     RankDeficientError,
     ShapeError,
 )
-from .numerics import std_normal_quantile
 from .permkit import Design
 from .permtest import ClusterEstimates
 
@@ -243,7 +242,7 @@ def _link_functions(link: str):
             return np.exp(-0.5 * eta * eta) / math.sqrt(2.0 * math.pi)
 
         def inverse(p):
-            return std_normal_quantile(p)
+            return ndtri(p)
     return cdf, pdf, inverse
 
 

@@ -150,14 +150,13 @@ def count_at_or_above(values: np.ndarray, dtype=None) -> np.ndarray:
     return (values >= values[..., :1]).sum(axis=-1, dtype=dtype)
 
 
-def sample_assignments(design: Design, m: int, include_identity: bool = True,
+def sample_assignments(design: Design, m: int,
                        rng: RngStream | None = None) -> np.ndarray:
     """m iid uniform draws from the assignment collection, with
     replacement, as an (m, q1) array.
 
-    When include_identity is set, row 0 is replaced by the identity so
-    the sample meets the array contract and p-values computed from it
-    stay bounded away from zero.
+    Row 0 is replaced by the identity, so the sample meets the array
+    contract and p-values computed from it stay bounded away from zero.
     """
     m = positive_int("m", m)
     if rng is None:
@@ -171,8 +170,7 @@ def sample_assignments(design: Design, m: int, include_identity: bool = True,
         keys = gen.random((min(_SAMPLE_ROWS, m - lo), design.q))
         part = np.argpartition(keys, design.q1 - 1, axis=1)[:, :design.q1]
         idx[lo:lo + len(keys)] = np.sort(part, axis=1)
-    if include_identity:
-        idx[0] = np.arange(design.q1)
+    idx[0] = np.arange(design.q1)
     return idx
 
 

@@ -137,6 +137,16 @@ def order_index_from_level(p: float | Fraction, n: int) -> int:
     return math.ceil((1 - frac) * n)
 
 
+def _collection(design: Design, assignments) -> tuple[np.ndarray | None, str]:
+    """(checked index array, source label) of an assignment collection;
+    the array is None for the full enumeration.  An explicit array is
+    always the sampled engine, whatever its length."""
+    if assignments is None:
+        return None, "full-enumeration"
+    idx = check_assignments(design, assignments)
+    return idx, f"sampled(m={len(idx)})"
+
+
 def _statistic_values(x: np.ndarray, design: Design,
                       assignments) -> tuple[np.ndarray, str]:
     """(values, source label) of the statistic under each assignment of
@@ -149,17 +159,15 @@ def _statistic_values(x: np.ndarray, design: Design,
     """
     coef = 1.0 / design.q1 + 1.0 / design.q0
     base = float(x.sum()) / design.q0
-    if assignments is None:
-        out = np.empty(design.n_assignments, dtype=float)
-        pos = 0
-        for idx in assignment_blocks(design):
-            out[pos:pos + len(idx)] = coef * x[idx].sum(axis=1) - base
-            pos += len(idx)
-        return out, "full-enumeration"
-    idx = check_assignments(design, assignments)
-    label = ("full-enumeration" if len(idx) == design.n_assignments
-             else f"sampled(m={len(idx)})")
-    return coef * x[idx].sum(axis=1) - base, label
+    idx, label = _collection(design, assignments)
+    if idx is not None:
+        return coef * x[idx].sum(axis=1) - base, label
+    out = np.empty(design.n_assignments, dtype=float)
+    pos = 0
+    for block in assignment_blocks(design):
+        out[pos:pos + len(block)] = coef * x[block].sum(axis=1) - base
+        pos += len(block)
+    return out, label
 
 
 def p_value(x: ClusterEstimates, assignments=None) -> float:
@@ -354,6 +362,15 @@ def tabulated_cells() -> list[tuple[float, int, int, str]]:
 # the test decision
 # ---------------------------------------------------------------------------
 
+def check_side_alpha(side: str, alpha: float) -> None:
+    """DomainError unless side is a known side and alpha lies in (0,1);
+    the argument check every test in the package starts with."""
+    if side not in _SIDES:
+        raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class TestOutcome:
     """Decision record shared by the permutation test and the rival tests."""
@@ -413,10 +430,7 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
     it (e.g. with a calibrated entry; for two-sided tests supply an entry
     calibrated at alpha/2).
     """
-    if side not in _SIDES:
-        raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    check_side_alpha(side, alpha)
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam}")
@@ -433,11 +447,8 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
             "all cluster estimates coincide after the lambda shift; the "
             "permutation distribution is a point mass and the test retains",
             DegeneracyWarning, stacklevel=2)
-        if assignments is None:
-            n, source = design.n_assignments, "full-enumeration"
-        else:
-            n = len(check_assignments(design, assignments))
-            source = f"sampled(m={n})"
+        idx, source = _collection(design, assignments)
+        n = design.n_assignments if idx is None else len(idx)
         return TestOutcome(
             statistic=0.0, critical_value=0.0, p_value_right=1.0,
             p_value_left=1.0, p_value_two_sided=1.0, decision="retain",

@@ -3,13 +3,13 @@
 Whenever bar_alpha is at least one over the number of assignments, the
 test rejects at least on the event that every treated estimate exceeds
 every control estimate.  For independent normal estimates that event
-probability has a one-dimensional integral form: with F0 the cdf of the
-largest control estimate,
+probability is one integral over the largest control estimate x:
 
-    integral over t in (0,1) of  prod_j Phi((delta - F0^{-1}(t)) / sigma_j)
+    integral of  f0'(x) * prod_j Phi((delta - x) / sigma_j)  dx
 
-where j runs over treated clusters.  This module evaluates F0, its
-inverse, and the integral.
+where j runs over treated clusters and F0(x) = prod_k Phi(x / s_k) is
+the cdf of the largest control estimate, so that
+f0'(x) = F0(x) * sum_k phi(x/s_k) / (s_k Phi(x/s_k)).
 """
 
 from __future__ import annotations
@@ -17,16 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BracketError, DomainError, NumericalError, ShapeError
-from .numerics import (
-    Tolerance,
-    adaptive_quadrature,
-    std_normal_cdf,
-    std_normal_quantile,
-)
+import numpy as np
+from scipy.integrate import quad
+from scipy.special import log_ndtr
 
-_T_EDGE = 1e-10          # integration window is (edge, 1 - edge)
-_INVERSE_TOL = 1e-10     # |F0(result) - t| tolerance for the inverse
+from .errors import DomainError, NumericalError, ShapeError
+
+# The window spans this many sigmas on either side of the control and
+# treated distributions; the mass it leaves out is below q * Phi(-10).
+# Breakpoints sit at the same reach around 0 and delta for every sigma,
+# so no cluster's feature, tails included, hides inside a subinterval
+# much wider than that sigma.
+_WINDOW_SIGMAS = 10.0
+_BREAK_SIGMAS = (-_WINDOW_SIGMAS, -3.0, 0.0, 3.0, _WINDOW_SIGMAS)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -59,113 +63,43 @@ class PowerSpec:
         return len(self.sigmas_control)
 
 
-def f0_cdf(x: float, spec: PowerSpec) -> float:
-    """Probability that the largest control estimate is at most x."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
-    out = 1.0
-    for s in spec.sigmas_control:
-        out *= std_normal_cdf(x / s)
-    return out
-
-
-def f0_inverse(t: float, spec: PowerSpec) -> float:
-    """The x with f0_cdf(x) = t, located to |f0_cdf(x) - t| <= 1e-10.
-
-    An analytic bracket comes from the equal-sigma solution: with
-    g = Phi^{-1}(t^(1/q0)), the points g*min(sigma) and g*max(sigma)
-    straddle the root, because replacing every sigma by the smallest
-    (largest) one only raises (lowers) the cdf at positive arguments and
-    conversely at negative ones.  The bracket is widened geometrically
-    if rounding at extreme inputs leaves the root outside, then closed
-    by bisection.
-    """
-    t = float(t)
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"t must lie strictly inside (0,1), got {t}")
-    g = std_normal_quantile(math.exp(math.log(t) / spec.q0))
-    s_min = min(spec.sigmas_control)
-    s_max = max(spec.sigmas_control)
-    if g >= 0:
-        lo, hi = g * s_min, g * s_max
-    else:
-        lo, hi = g * s_max, g * s_min
-    pad = 1e-8 * (1.0 + abs(g) * s_max)
-    lo, hi = lo - pad, hi + pad
-    span = max(hi - lo, 1.0)
-    for _ in range(100):
-        if f0_cdf(lo, spec) <= t:
-            break
-        lo -= span
-        span *= 2.0
-    else:
-        raise BracketError(f"no lower bracket for f0_inverse at t={t}")
-    span = max(hi - lo, 1.0)
-    for _ in range(100):
-        if f0_cdf(hi, spec) >= t:
-            break
-        hi += span
-        span *= 2.0
-    else:
-        raise BracketError(f"no upper bracket for f0_inverse at t={t}")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = f0_cdf(mid, spec)
-        if abs(val - t) <= _INVERSE_TOL:
-            return mid
-        if val < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-30 * (1.0 + abs(mid)):
-            return mid
-    raise NumericalError(
-        f"f0_inverse failed to reach tolerance at t={t}",
-        partial=0.5 * (lo + hi))
-
-
-def _knots(spec: PowerSpec) -> list[float]:
-    """Breakpoints in t for piecewise integration.
-
-    The integrand's variation happens where the treated normal cdfs
-    transition (x within a few treated sigmas of delta) and where F0
-    itself moves (x within a few control sigmas of zero).  Mapping an
-    x-grid over those scales through F0 yields t-knots that keep each
-    piece's feature size comparable to its width; without them, a large
-    delta pushes the whole transition into an exponentially thin layer
-    at t near 1 that uniform adaptive refinement cannot reach.
-    """
-    s_t = max(spec.sigmas_treated)
-    s_c = max(spec.sigmas_control)
-    xs = [spec.delta + s_t * k for k in range(-12, 13)]
-    xs += [s_c * k for k in range(-12, 13, 2)]
-    ts = sorted({f0_cdf(x, spec) for x in xs})
-    lo, hi = _T_EDGE, 1.0 - _T_EDGE
-    out = [lo]
-    for t in ts:
-        if out[-1] + 1e-14 < t < hi - 1e-14:
-            out.append(t)
-    out.append(hi)
-    return out
-
-
 def power_lower_bound(spec: PowerSpec) -> float:
     """The guaranteed-rejection probability P(min treated > max control)
     for independent normal estimates with mean delta on treated clusters
-    and mean 0 on controls."""
+    and mean 0 on controls.
 
-    def integrand(t: float) -> float:
-        x = f0_inverse(t, spec)
-        out = 1.0
-        for s in spec.sigmas_treated:
-            out *= std_normal_cdf((spec.delta - x) / s)
-        return out
+    The integrand is evaluated in log space, so neither tail underflows
+    early.  One adaptive quadrature runs over the window where the
+    largest control estimate lives and the treated ones have not all
+    dropped below it, with breakpoints at multiples of every sigma
+    around 0 and delta.  Non-convergence raises NumericalError carrying
+    the partial value.
+    """
+    s_c = np.array(spec.sigmas_control)
+    s_t = np.array(spec.sigmas_treated)
+    delta = spec.delta
+    lo = -_WINDOW_SIGMAS * s_c.max()
+    hi = min(-lo, delta + _WINDOW_SIGMAS * s_t.max())
+    if hi <= lo:
+        return 0.0
+    log_s_c = np.log(s_c)
 
-    knots = _knots(spec)
-    budget = 1e-9 / (len(knots) - 1)
-    tol = Tolerance(abs_tol=budget, rel_tol=0.0, max_iter=20_000)
-    val = 0.0
-    for a, b in zip(knots, knots[1:]):
-        val += adaptive_quadrature(integrand, a, b, tol)
-    return min(1.0, max(0.0, val))
+    def integrand(x: float) -> float:
+        z = x / s_c
+        log_cdf = log_ndtr(z)
+        # log F0(x) + log of the treated survival product, plus the log
+        # of each cluster's share phi/(s Phi) of f0'/F0
+        log_common = log_cdf.sum() + log_ndtr((delta - x) / s_t).sum()
+        log_share = -0.5 * z * z - _LOG_SQRT_2PI - log_s_c - log_cdf
+        return float(np.exp(log_common + log_share).sum())
+
+    offsets = np.array(_BREAK_SIGMAS)
+    points = np.unique(np.concatenate([np.outer(s_c, offsets).ravel(),
+                                       delta + np.outer(s_t, offsets).ravel()]))
+    points = points[(points > lo) & (points < hi)]
+    out = quad(integrand, lo, hi, points=points, epsabs=1e-11, epsrel=1e-10,
+               limit=50 * (points.size + 1), full_output=1)
+    if len(out) == 4:
+        raise NumericalError(f"power bound quadrature did not converge: "
+                             f"{out[3]}", partial=out[0])
+    return min(1.0, max(0.0, out[0]))

@@ -26,6 +26,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
+from scipy.special import stdtr, stdtrit
 
 from .errors import (
     ContractError,
@@ -34,9 +35,8 @@ from .errors import (
     RankDeficientError,
     ShapeError,
 )
-from .numerics import student_t_cdf, student_t_quantile
 from .permkit import RngStream, _as_generator, positive_int
-from .permtest import _SIDES, ClusterEstimates, TestOutcome
+from .permtest import ClusterEstimates, TestOutcome, check_side_alpha
 
 
 @dataclass(frozen=True)
@@ -162,17 +162,17 @@ def cluster_robust_ols(data: Mapping[str, object],
 
 def _t_reference_outcome(statistic: float, df: int, alpha: float, side: str,
                          method: str, extra: dict) -> TestOutcome:
-    p_right = 1.0 - student_t_cdf(statistic, df)
-    p_left = student_t_cdf(statistic, df)
+    p_left = float(stdtr(df, statistic))
+    p_right = 1.0 - p_left
     p_two = 2.0 * min(p_right, p_left)
     if side == "right":
-        crit = student_t_quantile(1.0 - alpha, df)
+        crit = stdtrit(df, 1.0 - alpha)
         reject = statistic > crit
     elif side == "left":
-        crit = student_t_quantile(alpha, df)
+        crit = stdtrit(df, alpha)
         reject = statistic < crit
     else:
-        crit = student_t_quantile(1.0 - alpha / 2.0, df)
+        crit = stdtrit(df, 1.0 - alpha / 2.0)
         reject = abs(statistic) > crit
     return TestOutcome(
         statistic=float(statistic), critical_value=float(crit),
@@ -182,20 +182,13 @@ def _t_reference_outcome(statistic: float, df: int, alpha: float, side: str,
         bar_alpha_used=None, method=method, extra=extra)
 
 
-def _check_test_args(alpha: float, side: str):
-    if side not in _SIDES:
-        raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-
-
 def im_test(theta_hat: ClusterEstimates, alpha: float,
             side: str = "right") -> TestOutcome:
     """Two-sample t-test on the cluster estimates: the treated-minus-
     control mean difference, studentized by sqrt(s1^2/q1 + s0^2/q0)
     with sample variances, against a t reference with
     min(q1, q0) - 1 degrees of freedom."""
-    _check_test_args(alpha, side)
+    check_side_alpha(side, alpha)
     d = theta_hat.design
     if d.q1 < 2 or d.q0 < 2:
         raise ContractError("both groups need at least 2 clusters for "
@@ -217,7 +210,7 @@ def bch_test(data: Mapping[str, object], spec: PooledRegressionSpec,
     """Pooled cluster-robust t-test: coefficient/se from
     cluster_robust_ols against a t reference with q - 1 degrees of
     freedom."""
-    _check_test_args(alpha, side)
+    check_side_alpha(side, alpha)
     y, x, codes, q, adj, bread, coef, u, t_idx, se = _fit(data, spec)
     if se == 0.0:
         raise DegenerateDataError("cluster-robust standard error is zero")
@@ -248,7 +241,7 @@ def wild_cluster_bootstrap_test(data: Mapping[str, object],
     vector reproduces the observed statistic exactly in exact arithmetic,
     and that tie must not be lost to roundoff.
     """
-    _check_test_args(alpha, side)
+    check_side_alpha(side, alpha)
     B = positive_int("B", B)
     if rng is None:
         rng = RngStream(0)

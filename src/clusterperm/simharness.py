@@ -31,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.signal import lfilter
+from scipy.special import stdtrit
 
 from .errors import (
     ContractError,
@@ -38,7 +39,6 @@ from .errors import (
     InputFormatError,
     ShapeError,
 )
-from .numerics import student_t_quantile
 from .permkit import (
     Design,
     RngStream,
@@ -312,7 +312,7 @@ def _normal_block(cfg: NormalLocationConfig, lo: int, hi: int):
     w = weight_matrix(design)
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
     count_max = design.n_assignments - entry.order_index
-    t_crit = student_t_quantile(1.0 - cfg.alpha, min(cfg.q1, cfg.q0) - 1)
+    t_crit = stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha)
     sig = cfg.sigmas()
 
     z = np.empty((hi - lo, q))
@@ -423,9 +423,8 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
     d_pool = 6
     t_idx = 2
     adj = dof_adjustment(n_pool, q, d_pool)
-    t_crit_pool = student_t_quantile(1.0 - cfg.alpha, q - 1)
-    t_crit_im = student_t_quantile(1.0 - cfg.alpha,
-                                   min(cfg.q1, cfg.q0) - 1)
+    t_crit_pool = stdtrit(q - 1, 1.0 - cfg.alpha)
+    t_crit_im = stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha)
     design = Design(cfg.q1, cfg.q0)
     w_perm = weight_matrix(design)
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)

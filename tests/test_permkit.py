@@ -153,8 +153,7 @@ class TestEnumeration:
 
 class TestSampling:
     def test_single_draw_identity(self):
-        out = sample_assignments(Design(3, 2), 1, include_identity=True,
-                                 rng=RngStream(1))
+        out = sample_assignments(Design(3, 2), 1, rng=RngStream(1))
         assert out.tolist() == [[0, 1, 2]]
 
     def test_draws_match_one_block(self):
@@ -178,21 +177,21 @@ class TestSampling:
 
     def test_uniformity_small(self):
         d = Design(2, 2)
-        out = sample_assignments(d, 10**5, include_identity=False,
-                                 rng=RngStream(123))
-        freq = Counter(map(tuple, out.tolist()))
+        # row 0 is the identity put in place; the draws are the rest
+        draws = sample_assignments(d, 10**5, rng=RngStream(123))[1:]
+        freq = Counter(map(tuple, draws.tolist()))
         assert len(freq) == 6
         for count in freq.values():
-            assert count / 10**5 == pytest.approx(1 / 6, abs=0.01)
+            assert count / len(draws) == pytest.approx(1 / 6, abs=0.01)
 
     def test_uniformity_chi_square(self):
         # q = 8 clusters: chi-square on all C(8,4)=70 cells at m = 1e5
         d = Design(4, 4)
         m = 10**5
-        out = sample_assignments(d, m, include_identity=False, rng=RngStream(7))
-        freq = Counter(map(tuple, out.tolist()))
+        draws = sample_assignments(d, m, rng=RngStream(7))[1:]
+        freq = Counter(map(tuple, draws.tolist()))
         n_cells = d.n_assignments
-        expected = m / n_cells
+        expected = len(draws) / n_cells
         chi2 = sum((freq.get(c, 0) - expected) ** 2 / expected
                    for c in itertools.combinations(range(8), 4))
         crit = stats.chi2.ppf(0.999, df=n_cells - 1)

@@ -8,6 +8,7 @@ the printed worst-case size-bound table.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -397,6 +398,21 @@ class TestAdjustedTest:
         assert out.assignment_source == "sampled(m=2000)"
         assert out.decision == "reject"
 
+    def test_sample_of_size_n_is_labelled_sampled(self):
+        # 70 draws with repeats from the 70 assignments of 4+4 are a
+        # sample, not the full enumeration, on both the regular and the
+        # degenerate-data path
+        d = Design(4, 4)
+        draws = sample_assignments(d, 70, rng=RngStream(1))
+        out = adjusted_test(ClusterEstimates(d, np.arange(8.0)[::-1]),
+                            alpha=0.10, assignments=draws)
+        assert out.n_assignments == 70
+        assert out.assignment_source == "sampled(m=70)"
+        with pytest.warns(DegeneracyWarning):
+            flat = adjusted_test(ClusterEstimates(d, np.ones(8)), alpha=0.10,
+                                 assignments=draws)
+        assert flat.assignment_source == "sampled(m=70)"
+
     def test_sampled_without_identity_rejected(self):
         d = Design(4, 4)
         draws = _all_assignments(d)[1:51]  # identity dropped
@@ -420,7 +436,9 @@ class TestAdjustedTest:
 
 class TestExplicitFullEnumeration:
     """The full collection passed as an explicit (N, q1) array must give
-    exactly what assignments=None gives, on data where ties abound."""
+    exactly what assignments=None gives, on data where ties abound; only
+    the source label differs, since an explicit array is always the
+    sampled engine."""
 
     @pytest.mark.parametrize("q1,q0", [(q1, q0) for q1 in range(1, 7)
                                        for q0 in range(1, 7)])
@@ -448,7 +466,8 @@ class TestExplicitFullEnumeration:
                 assert via.p_value_two_sided == full.p_value_two_sided
                 assert via.decision == full.decision
                 assert via.critical_value == full.critical_value
-                assert via == full
+                assert via == dataclasses.replace(
+                    full, assignment_source=f"sampled(m={n})")
 
 
 # ===========================================================================

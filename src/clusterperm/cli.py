@@ -35,7 +35,12 @@ from .estimators import (
     per_cluster_ols,
 )
 from .permkit import RngStream, sample_assignments
-from .permtest import adjusted_test, lookup_bar_alpha, size_bound
+from .permtest import (
+    adjusted_test,
+    adjustment_level,
+    lookup_bar_alpha,
+    size_bound,
+)
 from .power import PowerSpec, power_lower_bound
 from .simharness import (
     did_config_from_mapping,
@@ -114,6 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw M random assignments (plus the identity) "
                         "instead of enumerating all of them "
                         f"(M defaults to {DEFAULT_SAMPLE_M})")
+    p.add_argument("--calibrate", choices=("exhaustive", "sampled"),
+                   help="calibrate bar_alpha by Monte Carlo instead of "
+                        "looking it up in the embedded table (a "
+                        "two-sided test calibrates at alpha/2)")
+    p.add_argument("--param", action="append", default=[],
+                   metavar="NAME=VALUE",
+                   help="override a calibration parameter (repeatable)")
     p.add_argument("--seed", type=int)
     _add_format_flags(p)
 
@@ -172,21 +184,25 @@ def _calibration_params(ns) -> CalibrationParams:
     return replace(base, **overrides)
 
 
-def _cmd_alpha(ns):
-    from .permkit import Design
-    if ns.calibrate:
-        params = _calibration_params(ns)
-        if ns.seed is None:
-            params = replace(params, seed=secrets.randbits(31))
-        fn = (calibrate_exhaustive if ns.calibrate == "exhaustive"
-              else calibrate_sampled)
-        entry = fn(Design(ns.q1, ns.q0), ns.alpha, params=params)
-        seed = params.seed
-    else:
+def _alpha_entry(ns, design, alpha, seed):
+    """The adjusted level for the command: calibrated with `seed` under
+    --calibrate, else the tabulated entry."""
+    if not ns.calibrate:
         if ns.param:
             raise DomainError("--param requires --calibrate")
-        entry = lookup_bar_alpha(ns.q1, ns.q0, ns.alpha)
-        seed = None
+        return lookup_bar_alpha(design.q1, design.q0, alpha)
+    params = replace(_calibration_params(ns), seed=seed)
+    fn = (calibrate_exhaustive if ns.calibrate == "exhaustive"
+          else calibrate_sampled)
+    return fn(design, alpha, params=params)
+
+
+def _cmd_alpha(ns):
+    from .permkit import Design
+    seed = None
+    if ns.calibrate:
+        seed = ns.seed if ns.seed is not None else secrets.randbits(31)
+    entry = _alpha_entry(ns, Design(ns.q1, ns.q0), ns.alpha, seed)
     payload = {"command": "alpha", **entry.to_json_dict()}
     text = (f"bar_alpha={entry.bar_alpha:.4f} "
             f"order_index={entry.order_index} source={entry.source}")
@@ -209,21 +225,25 @@ def _load_cluster_estimates(ns):
 def _cmd_test(ns):
     estimates = _load_cluster_estimates(ns)
     design = estimates.design
-    assignments = None
+    if ns.sample_m is not None and ns.sample_m < 1:
+        raise DomainError(f"--sample-m must be positive, got {ns.sample_m}")
+    sampled = ns.sample_m is not None and design.n_assignments > ns.sample_m
     seed = None
-    if ns.sample_m is not None:
-        if ns.sample_m < 1:
-            raise DomainError(f"--sample-m must be positive, got "
-                              f"{ns.sample_m}")
-        if design.n_assignments > ns.sample_m:
-            seed = ns.seed if ns.seed is not None else secrets.randbits(31)
-            assignments = sample_assignments(design, ns.sample_m,
-                                             rng=RngStream(seed))
+    if sampled or ns.calibrate:
+        seed = ns.seed if ns.seed is not None else secrets.randbits(31)
+    entry = _alpha_entry(ns, design, adjustment_level(ns.alpha, ns.side),
+                         seed)
+    assignments = (sample_assignments(design, ns.sample_m,
+                                      rng=RngStream(seed))
+                   if sampled else None)
     outcome = adjusted_test(estimates, ns.alpha, side=ns.side, lam=ns.lam,
-                            assignments=assignments)
+                            assignments=assignments, alpha_entry=entry)
     payload = {"command": "test", "input": ns.input, "mode": ns.mode,
                "q1": design.q1, "q0": design.q0}
     payload.update(outcome.to_json_dict())
+    payload["bar_alpha_source"] = entry.source
+    if ns.calibrate:
+        payload["calibration_seed"] = seed
     if seed is not None:
         payload["seed"] = seed
     p_shown = {"right": outcome.p_value_right,
@@ -233,7 +253,7 @@ def _cmd_test(ns):
              f"p_value={p_shown:.6g}",
              f"statistic={outcome.statistic:.6g}",
              f"critical_value={outcome.critical_value:.6g}",
-             f"bar_alpha={outcome.bar_alpha_used:.4f}",
+             f"bar_alpha={outcome.bar_alpha_used:.4f} ({entry.source})",
              f"assignments={outcome.n_assignments} "
              f"({outcome.assignment_source})"]
     if seed is not None:

@@ -10,13 +10,15 @@ array whose rows hold 0-based, strictly increasing treated indices in
 sample is drawn with replacement).  `check_assignments` enforces the
 contract; `assignment_blocks` yields the full collection in
 lexicographic order, identity first; `count_at_or_above` is the test's
-tie rule.
+tie rule on an explicit collection.  `SubsetSums` counts and selects
+over the full collection of one data vector without listing it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,6 +29,8 @@ from .errors import CapacityError, ContractError, DomainError, ShapeError
 DEFAULT_ENUMERATION_CAP = 10_000_000
 _BLOCK_ROWS = 1 << 18  # assignments per enumeration block
 _SAMPLE_ROWS = 1 << 14  # draws per sampling block
+_COUNT_ROWS = 1 << 16  # left sums per split-sum counting chunk
+_PROBE_SAMPLE = 1 << 12  # sums sampled to place a selection probe
 
 
 def positive_int(name: str, value) -> int:
@@ -148,6 +152,163 @@ def count_at_or_above(values: np.ndarray, dtype=None) -> np.ndarray:
     this count over the collection size, and the test at order index j
     rejects iff the count is at most size - j."""
     return (values >= values[..., :1]).sum(axis=-1, dtype=dtype)
+
+
+def _half_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, sizes) of every subset of `values`, indexed by bitmask (bit
+    i is entry i); each sum is taken in increasing index order."""
+    sums = np.zeros(1 << len(values))
+    sizes = np.zeros(1 << len(values), dtype=np.int8)
+    for i, v in enumerate(values):
+        sums[1 << i:2 << i] = sums[:1 << i] + v
+        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    return sums, sizes
+
+
+def _key(v: float) -> int:
+    """Integer key of a double, increasing with its value."""
+    (u,) = struct.unpack("<Q", struct.pack("<d", v))
+    return u if u < 1 << 63 else (1 << 63) - 1 - u
+
+
+def _unkey(k: int) -> float:
+    """The double whose _key is k."""
+    u = k if k >= 0 else (1 << 63) - 1 - k
+    return struct.unpack("<d", struct.pack("<Q", u))[0]
+
+
+class SubsetSums:
+    """The treated-entry sums of all C(q, q1) assignments of a vector x,
+    counted without listing them (meet in the middle: Horowitz & Sahni
+    1974, JACM 21(2)).
+
+    The clusters split into [0, h) and [h, q) with h = q // 2.  Each
+    half's subset sums are enumerated, each in index order.  An
+    assignment with k treated clusters on the left is a pair of a left
+    sum l of size k (a row) and a right sum r of size q1 - k, and its sum
+    is fl(l + r).  Tie policy: every comparison is made on fl(l + r),
+    the identity's sum included, so the counts are exact integers in
+    that arithmetic.  fl(l + r) is monotone in r, so the pairs of a row
+    below any threshold are a prefix of its right sums sorted by value,
+    found by bisection.
+    """
+
+    def __init__(self, design: Design, x: np.ndarray):
+        q, q1 = design.q, design.q1
+        h = q // 2
+        if 1 << (q - h) > DEFAULT_ENUMERATION_CAP:
+            raise CapacityError(
+                f"the split-sum count enumerates 2^{q - h} subset sums per "
+                f"half at q={q}, above the cap of {DEFAULT_ENUMERATION_CAP}; "
+                "pass sampled assignments instead")
+        x = np.asarray(x, dtype=float)
+        left, lsize = _half_sums(x[:h])
+        right, rsize = _half_sums(x[h:])
+        self._h = h
+        # right sums sorted by (size, value); position -> bitmask
+        self._rmask = np.lexsort((right, rsize))
+        self._r = right[self._rmask]
+        per_size = np.bincount(rsize, minlength=q - h + 1)
+        stop = np.cumsum(per_size)
+        # rows: left sums with a right partner of size q1 - k in [0, q - h]
+        self._lmask = np.flatnonzero((lsize <= q1) & (lsize >= q1 - (q - h)))
+        self._l = left[self._lmask]
+        part = q1 - lsize[self._lmask]
+        # each row's partners are the right positions [lo, hi)
+        self._hi = stop[part]
+        self._lo = self._hi - per_size[part]
+        self.identity = float(left[(1 << min(q1, h)) - 1]
+                              + right[(1 << max(q1 - h, 0)) - 1])
+
+    def _prefix(self, l, lo, hi, s: float, at_most: bool) -> np.ndarray:
+        """Per row with left sum l, the end of the prefix of positions
+        [lo, hi) whose pair sums are < s (<= s when at_most)."""
+        out = np.empty_like(lo)
+        for a in range(0, len(l), _COUNT_ROWS):
+            part = slice(a, a + _COUNT_ROWS)
+            pos, stop = lo[part], hi[part]
+            for b in range(int((stop - pos).max()).bit_length() - 1, -1, -1):
+                nxt = pos + (1 << b)
+                tail = l[part] + self._r.take(nxt - 1, mode="clip")
+                inside = (tail <= s) if at_most else (tail < s)
+                pos = np.where(inside & (nxt <= stop), nxt, pos)
+            out[part] = pos
+        return out
+
+    def count_at_least(self, s: float) -> int:
+        """#{assignments with sum >= s}."""
+        below = self._prefix(self._l, self._lo, self._hi, s, at_most=False)
+        return int((self._hi - below).sum())
+
+    def count_at_most(self, s: float) -> int:
+        """#{assignments with sum <= s}."""
+        upto = self._prefix(self._l, self._lo, self._hi, s, at_most=True)
+        return int((upto - self._lo).sum())
+
+    def _sums_at(self, l, lo, width, ranks):
+        """(sums, rows, positions) at `ranks` of the sums of the position
+        ranges [lo, lo + width) of rows with left sums l, laid out row
+        after row."""
+        end = np.cumsum(width)
+        row = np.searchsorted(end, ranks, side="right")
+        pos = lo[row] + ranks - (end[row] - width[row])
+        return l[row] + self._r[pos], row, pos
+
+    def subset_at(self, j: int) -> np.ndarray:
+        """The sorted treated indices of an assignment whose sum is the
+        j-th smallest (1-based).
+
+        Selection keeps the sums that may hold the answer, a bracket
+        [low, high] of attained sums, as per-row position ranges [lo, hi).
+        Each pass counts the sums <= a probe in [low, high) and keeps the
+        side holding the answer, until the bracket holds one value or at
+        most _COUNT_ROWS sums, which are listed.  The probe is the
+        answer's rank in an evenly spaced sample of the bracket, shifted
+        to fall just below the answer on even passes and just above it on
+        odd ones; after a pass that did not halve the bracket it is the
+        midpoint of the ordered bit patterns of doubles from low to high
+        instead, which bounds the passes whatever the data.
+        """
+        lmask, l, lo, hi = self._lmask, self._l, self._lo, self._hi
+        high = float((l + self._r[hi - 1]).max())
+        below = 0  # the number of sums below the bracket
+        size_before = None
+        for step in itertools.count():
+            if not (open_ := lo < hi).all():
+                lmask, l, lo, hi = lmask[open_], l[open_], lo[open_], hi[open_]
+            width = hi - lo
+            size = int(width.sum())
+            low = float((l + self._r[lo]).min())
+            if low == high or size <= _COUNT_ROWS:
+                break
+            probe = None
+            if size_before is None or 2 * size <= size_before:
+                ranks = np.linspace(0, size - 1, _PROBE_SAMPLE).astype(np.intp)
+                sample = np.sort(self._sums_at(l, lo, width, ranks)[0])
+                at = ((j - below - 1) * _PROBE_SAMPLE // size
+                      + (_PROBE_SAMPLE // 64) * (1 if step % 2 else -1))
+                probe = float(sample[min(max(at, 0), _PROBE_SAMPLE - 1)])
+            if probe is None or not low <= probe < high:
+                probe = _unkey((_key(low) + _key(high)) // 2)
+            size_before = size
+            upto = self._prefix(l, lo, hi, probe, at_most=True)
+            count = below + int((upto - lo).sum())
+            if count >= j:
+                kept = upto > lo
+                high = float((l[kept] + self._r[upto[kept] - 1]).max())
+                hi = upto
+            else:
+                lo, below = upto, count
+        if low == high:
+            row, pos = 0, lo[0]
+        else:  # the (j - below)-th smallest of the sums left
+            sums, rows, at = self._sums_at(l, lo, width, np.arange(size))
+            k = np.argpartition(sums, j - below - 1)[j - below - 1]
+            row, pos = rows[k], at[k]
+        left, right = int(lmask[row]), int(self._rmask[pos])
+        return np.array([b for b in range(self._h) if left >> b & 1]
+                        + [self._h + b for b in range(right.bit_length())
+                           if right >> b & 1], dtype=np.intp)
 
 
 def sample_assignments(design: Design, m: int,

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .permkit import (
     Design,
-    assignment_blocks,
+    SubsetSums,
     check_assignments,
     count_at_or_above,
     positive_int,
@@ -147,35 +147,56 @@ def _collection(design: Design, assignments) -> tuple[np.ndarray | None, str]:
     return idx, f"sampled(m={len(idx)})"
 
 
-def _statistic_values(x: np.ndarray, design: Design,
-                      assignments) -> tuple[np.ndarray, str]:
-    """(values, source label) of the statistic under each assignment of
-    the collection (the full enumeration when None), identity first.
+class _Relabelings(NamedTuple):
+    """The statistic over an assignment collection: its size n, the
+    identity's value, how many assignments give a value >= / <= it, and
+    nth(i), the i-th smallest value (1-based)."""
+
+    n: int
+    statistic: float
+    count_ge: int
+    count_le: int
+    nth: Callable[[int], float]
+    source: str
+
+
+def _relabelings(x: np.ndarray, design: Design, assignments) -> _Relabelings:
+    """The statistic over the collection (the full enumeration when None).
 
     T(gx) depends on g only through the treated-entry sum, so each value
     is coef * sum(treated) - sum(all)/q0 with coef = 1/q1 + 1/q0.  The
-    full enumeration is summed block by block, never holding all of its
-    index rows at once.
+    full enumeration is counted on those sums by `SubsetSums`; its nth
+    recomputes the value of the assignment found there with the same
+    arithmetic as an explicit collection.
     """
     coef = 1.0 / design.q1 + 1.0 / design.q0
     base = float(x.sum()) / design.q0
-    idx, label = _collection(design, assignments)
-    if idx is not None:
-        return coef * x[idx].sum(axis=1) - base, label
-    out = np.empty(design.n_assignments, dtype=float)
-    pos = 0
-    for block in assignment_blocks(design):
-        out[pos:pos + len(block)] = coef * x[block].sum(axis=1) - base
-        pos += len(block)
-    return out, label
+
+    def value(rows: np.ndarray):
+        return coef * x[rows].sum(axis=-1) - base
+
+    t_obs = float(value(np.arange(design.q1)))
+    idx, source = _collection(design, assignments)
+    if idx is None:
+        sums = SubsetSums(design, x)
+        return _Relabelings(
+            design.n_assignments, t_obs, sums.count_at_least(sums.identity),
+            sums.count_at_most(sums.identity),
+            lambda i: float(value(sums.subset_at(i))), source)
+    vals = value(idx)
+    # the left side is the right side's rule on negated values
+    return _Relabelings(
+        len(idx), t_obs, int(count_at_or_above(vals)),
+        int(count_at_or_above(-vals)),
+        lambda i: float(np.partition(vals, i - 1)[i - 1]), source)
 
 
 def p_value(x: ClusterEstimates, assignments=None) -> float:
     """Fraction of assignments whose relabeled statistic is >= the
     observed one.  The identity heads every collection, so the result
     is always >= 1/n."""
-    vals, _ = _statistic_values(x.values, x.design, assignments)
-    return float(count_at_or_above(vals) / vals.size)
+    rel = _relabelings(x.values, x.design, assignments)
+    return rel.count_ge / rel.n
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +392,12 @@ def check_side_alpha(side: str, alpha: float) -> None:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
 
 
+def adjustment_level(alpha: float, side: str) -> float:
+    """The level whose adjustment a test of level alpha uses: alpha/2 for
+    a two-sided test, which runs both one-sided tests."""
+    return alpha / 2.0 if side == "two-sided" else alpha
+
+
 @dataclass(frozen=True)
 class TestOutcome:
     """Decision record shared by the permutation test and the rival tests."""
@@ -435,9 +462,8 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam}")
     design = theta_hat.design
-    level = alpha / 2.0 if side == "two-sided" else alpha
     entry = alpha_entry if alpha_entry is not None else lookup_bar_alpha(
-        design.q1, design.q0, level)
+        design.q1, design.q0, adjustment_level(alpha, side))
 
     x = theta_hat.values.copy()
     x[:design.q1] -= lam
@@ -455,12 +481,8 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
             side=side, alpha=alpha, bar_alpha_used=entry.bar_alpha, lam=lam,
             n_assignments=n, assignment_source=source)
 
-    vals, source = _statistic_values(x, design, assignments)
-    n = vals.size
-    t_obs = float(vals[0])
-    count_ge = int(count_at_or_above(vals))
-    # the left side is the right side's rule on negated data
-    count_le = int(count_at_or_above(-vals))
+    rel = _relabelings(x, design, assignments)
+    n, count_ge, count_le, nth = rel.n, rel.count_ge, rel.count_le, rel.nth
     p_right = count_ge / n
     p_left = count_le / n
     p_two = min(1.0, 2.0 * min(p_right, p_left))
@@ -473,18 +495,18 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
 
     if side == "right":
         decision = reject_right
-        crit = float(np.partition(vals, j - 1)[j - 1])
+        crit = nth(j)
     elif side == "left":
         decision = reject_left
         # reject iff the statistic falls strictly below this value
-        crit = float(np.partition(vals, n - j)[n - j])
+        crit = nth(n - j + 1)
     else:
         decision = reject_right or reject_left
-        crit = float(np.partition(vals, j - 1)[j - 1])
+        crit = nth(j)
 
     return TestOutcome(
-        statistic=t_obs, critical_value=crit,
+        statistic=rel.statistic, critical_value=crit,
         p_value_right=p_right, p_value_left=p_left, p_value_two_sided=p_two,
         decision="reject" if decision else "retain", side=side, alpha=alpha,
         bar_alpha_used=entry.bar_alpha, lam=lam,
-        n_assignments=n, assignment_source=source)
+        n_assignments=n, assignment_source=rel.source)

@@ -1,21 +1,26 @@
 """Tests for the command line interface.
 
 dispatch() is exercised in-process: stdout/stderr are captured with
-capsys and exit codes come from the return value, so no subprocesses
-are needed.
+capsys and exit codes come from the return value.  One test starts
+`python -m clusterperm` in a subprocess.
 """
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from clusterperm.calibrate import CalibrationParams, calibrate_exhaustive
 from clusterperm.cli import dispatch
 from clusterperm.errors import DegeneracyWarning
 from clusterperm.estimators import ingest_csv
-from clusterperm.permkit import RngStream
+from clusterperm.permkit import Design, RngStream
 from clusterperm.permtest import adjusted_test, size_bound
 
 
@@ -256,6 +261,52 @@ class TestTestCommand:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InputFormatError"
 
+    def test_calibrated_level_off_the_table(self, capsys, tmp_path):
+        # 3+13 at alpha = .20 is not tabulated but is feasible (worst-case
+        # size .125); --calibrate runs the test at a calibrated level
+        values = RngStream(8).generator().standard_normal(16)
+        path = tmp_path / "est.csv"
+        write_estimates_csv(path, values, q1=3)
+        params = ("--param", "R=50", "--param", "S1=50", "--param", "S2=100")
+        code, _, err = run_cli(capsys, "test", "--input", str(path),
+                               "--alpha", "0.2")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "InfeasibleLevelError"
+        for side, level in (("right", 0.2), ("two-sided", 0.1)):
+            code, out, _ = run_cli(capsys, "test", "--input", str(path),
+                                   "--alpha", "0.2", "--side", side,
+                                   "--calibrate", "exhaustive", "--seed",
+                                   "5", *params, "--json")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["bar_alpha_source"] == "calibrated"
+            assert payload["calibration_seed"] == payload["seed"] == 5
+            entry = calibrate_exhaustive(
+                Design(3, 13), level,
+                params=CalibrationParams(R=50, S1=50, S2=100, seed=5))
+            expected = adjusted_test(ingest_csv(path, schema="estimates"),
+                                     0.2, side=side, alpha_entry=entry)
+            for key, value in expected.to_json_dict().items():
+                assert payload[key] == value, key
+
+    def test_tabulated_level_source(self, capsys, tmp_path):
+        path = tmp_path / "est.csv"
+        write_estimates_csv(path, list(range(8)), q1=4)
+        code, out, _ = run_cli(capsys, "test", "--input", str(path),
+                               "--alpha", "0.10", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bar_alpha_source"] == "tabulated"
+        assert "calibration_seed" not in payload and "seed" not in payload
+
+    def test_param_requires_calibrate(self, capsys, tmp_path):
+        path = tmp_path / "est.csv"
+        write_estimates_csv(path, list(range(8)), q1=4)
+        code, _, err = run_cli(capsys, "test", "--input", str(path),
+                               "--alpha", "0.10", "--param", "R=100")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
     def test_json_and_csv_flags_conflict(self, capsys, tmp_path):
         path = tmp_path / "est.csv"
         write_estimates_csv(path, list(range(8)), q1=4)
@@ -396,3 +447,13 @@ class TestDispatch:
         code, _, err = run_cli(capsys)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "UsageError"
+
+    def test_runs_as_module(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "clusterperm", "bound", "--q1", "4",
+             "--q0", "4"], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0
+        assert done.stdout.strip() == "0.0898"

@@ -2,8 +2,9 @@
 
 Reference values come from brute-force enumeration oracles built inside
 this file (direct iteration over treated subsets, recomputing the group
-means from scratch), from hand-evaluated ceiling arithmetic, and from
-the printed worst-case size-bound table.
+means from scratch), from an integer subset-sum count for designs too
+large to list, from hand-evaluated ceiling arithmetic, and from the
+printed worst-case size-bound table.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from clusterperm.errors import (
 from clusterperm.permkit import (
     Design,
     RngStream,
+    SubsetSums,
     sample_assignments,
     weight_matrix,
 )
@@ -75,6 +77,18 @@ def _critical_value(sorted_values: np.ndarray, p: float) -> float:
     """The ceil((1-p)*n)-th smallest value of the distribution."""
     j = order_index_from_level(p, sorted_values.size)
     return float(sorted_values[j - 1])
+
+
+def _subset_sum_counts(values: list[int], q1: int) -> dict[int, int]:
+    """Oracle: the number of q1-subsets of integer `values` with each
+    exact sum, counted with Python ints."""
+    by_size = [{} for _ in range(q1 + 1)]
+    by_size[0][0] = 1
+    for v in values:
+        for k in range(q1, 0, -1):
+            for s, c in by_size[k - 1].items():
+                by_size[k][s + v] = by_size[k].get(s + v, 0) + c
+    return by_size[q1]
 
 
 # ===========================================================================
@@ -206,10 +220,16 @@ class TestPValue:
             p_value(x, draws)
 
     def test_enumeration_cap(self):
-        # C(26, 13) = 10,400,600 relabelings, above the 10M cap
-        x = ClusterEstimates(Design(13, 13), np.arange(26.0))
+        # 13+13 has C(26, 13) = 10,400,600 relabelings, above the 10M cap
+        # of a listed enumeration; the split-sum count handles it exactly
+        x = np.random.default_rng(13).integers(0, 5, 26)
+        counts = _subset_sum_counts(x.tolist(), 13)
+        oracle = sum(c for s, c in counts.items() if s >= x[:13].sum())
+        assert p_value(ClusterEstimates(Design(13, 13), x)) == \
+            oracle / math.comb(26, 13)
+        # 24+24 needs 2^24 subset sums per half, above the cap
         with pytest.raises(CapacityError):
-            p_value(x)
+            p_value(ClusterEstimates(Design(24, 24), np.arange(48.0)))
 
 
 # ===========================================================================
@@ -468,6 +488,92 @@ class TestExplicitFullEnumeration:
                 assert via.critical_value == full.critical_value
                 assert via == dataclasses.replace(
                     full, assignment_source=f"sampled(m={n})")
+
+
+class TestSplitSumCount:
+    """The full enumeration is counted by split subset sums; these
+    oracles never list an assignment."""
+
+    @pytest.mark.parametrize("q1,q0,bar", [(13, 13, 0.05), (16, 16, 0.1)])
+    def test_matches_integer_sum_oracle(self, q1, q0, bar):
+        d = Design(q1, q0)
+        n = d.n_assignments
+        entry = AlphaEntry(q1=q1, q0=q0, alpha=2 * bar, bar_alpha=bar,
+                           order_index=order_index_from_level(bar, n),
+                           source="calibrated")
+        x = np.random.default_rng(q1).integers(0, 5, d.q)
+        counts = _subset_sum_counts(x.tolist(), q1)
+        s_id = int(x[:q1].sum())
+        ge = sum(c for s, c in counts.items() if s >= s_id)
+        le = sum(c for s, c in counts.items() if s <= s_id)
+        ascending = sorted(counts)
+        below = list(itertools.accumulate(counts[s] for s in ascending))
+
+        def nth_smallest_sum(i):  # 1-based
+            return ascending[next(k for k, c in enumerate(below) if c >= i)]
+
+        coef = 1.0 / q1 + 1.0 / q0
+        base = float(x.astype(float).sum()) / q0
+        est = ClusterEstimates(d, x)
+        assert p_value(est) == ge / n
+        j = entry.order_index
+        for side, i in (("right", j), ("left", n - j + 1), ("two-sided", j)):
+            out = adjusted_test(est, alpha=2 * bar, side=side,
+                                alpha_entry=entry)
+            assert out.n_assignments == n
+            assert out.p_value_right == ge / n
+            assert out.p_value_left == le / n
+            assert out.critical_value == coef * nth_smallest_sum(i) - base
+
+    def test_every_tie_group_boundary(self):
+        # at the first and the last index of each group of tied sums a
+        # selection probe can count exactly j sums; 13+13 has more sums
+        # than one listing step takes, so the probes run
+        d = Design(13, 13)
+        x = np.random.default_rng(26).integers(0, 5, d.q)
+        counts = _subset_sum_counts(x.tolist(), 13)
+        sums = SubsetSums(d, x)
+        upto = 0
+        for s in sorted(counts):
+            assert sums.count_at_most(s) == upto + counts[s]
+            assert sums.count_at_least(s) == d.n_assignments - upto
+            for j in (upto + 1, upto + counts[s]):
+                assert x[sums.subset_at(j)].sum() == s
+            upto += counts[s]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_explicit_enumeration(self, data):
+        # asymmetric designs up to q = 14 on two kinds of float data:
+        # multiples of one power of two (every subset sum exact, so ties
+        # are exact ties) and generic draws.  The two engines sum in
+        # different orders, so data whose subset sums tie only in exact
+        # arithmetic (decimals such as 0.1) may round apart in either.
+        q1 = data.draw(st.integers(1, 13))
+        q0 = data.draw(st.integers(1, 14 - q1).filter(lambda v: v != q1))
+        d = Design(q1, q0)
+        if data.draw(st.booleans()):
+            k = data.draw(st.lists(st.integers(-8, 8), min_size=d.q,
+                                   max_size=d.q))
+            x = np.ldexp(np.array(k, dtype=float),
+                         data.draw(st.integers(-30, 30)))
+        else:
+            gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            x = gen.standard_normal(d.q) * 10.0 ** gen.uniform(-3, 3)
+        n = d.n_assignments
+        bar = data.draw(st.sampled_from([0.5, 0.2, 0.05]))
+        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha=bar,
+                           order_index=min(order_index_from_level(bar, n),
+                                           n - 1),
+                           source="calibrated")
+        est = ClusterEstimates(d, x)
+        every = _all_assignments(d)
+        for side in ("right", "left", "two-sided"):
+            full = adjusted_test(est, alpha=0.5, side=side, alpha_entry=entry)
+            via = adjusted_test(est, alpha=0.5, side=side, assignments=every,
+                                alpha_entry=entry)
+            assert via == dataclasses.replace(
+                full, assignment_source=f"sampled(m={n})")
 
 
 # ===========================================================================

@@ -305,8 +305,8 @@ def calibrate_exhaustive(design: Design, alpha: float,
         {"n_assignments": n, "j_star": j_star,
          "restricted": variance_draws is not None})
     return AlphaEntry(q1=design.q1, q0=design.q0, alpha=float(alpha),
-                      bar_alpha=float(bar_exact), order_index=j_star,
-                      source="calibrated", bar_alpha_exact=bar_exact,
+                      bar_alpha=float(bar_exact), source="calibrated",
+                      bar_alpha_exact=bar_exact,
                       diagnostics=diag)
 
 
@@ -356,9 +356,8 @@ def calibrate_sampled(design: Design, alpha: float,
                  "start": float(p0), "n_assignments": n,
                  "restricted": variance_draws is not None})
             return AlphaEntry(q1=design.q1, q0=design.q0, alpha=float(alpha),
-                              bar_alpha=float(p), order_index=
-                              order_index_from_level(p, n),
-                              source="calibrated", bar_alpha_exact=p,
+                              bar_alpha=float(p), source="calibrated",
+                              bar_alpha_exact=p,
                               diagnostics=diag)
         binding = {"level": float(p), "rate": rate, "draw_index": r_idx}
         p -= step

@@ -281,18 +281,19 @@ class AlphaEntry:
     """An adjusted level bar_alpha for a (q1, q0, alpha) triple.
 
     order_index is the 1-based index j = ceil((1-bar_alpha)*N) into the
-    sorted full-enumeration permutation distribution (N = C(q, q1)); a
-    starred table cell pins j = N-1.  bar_alpha is a permutation-quantile
-    level, not a size, so bar_alpha <= alpha is not required.
-    bar_alpha_exact carries the value as an exact rational so indices for
-    other collection sizes (sampled assignment sets) stay exact.
+    sorted full-enumeration permutation distribution (N = C(q, q1)),
+    derived from bar_alpha_exact; a starred table cell has
+    bar_alpha_exact = 1/N, so j = N-1.  bar_alpha is a
+    permutation-quantile level, not a size, so bar_alpha <= alpha is not
+    required.  bar_alpha_exact carries the value as an exact rational so
+    indices for other collection sizes (sampled assignment sets) stay
+    exact.
     """
 
     q1: int
     q0: int
     alpha: float
     bar_alpha: float
-    order_index: int
     source: str
     starred: bool = False
     bar_alpha_exact: Fraction = field(repr=False, default=None)  # type: ignore[assignment]
@@ -306,6 +307,11 @@ class AlphaEntry:
             raise DomainError(
                 f"order index {self.order_index} outside [1, {n - 1}]: "
                 "the test would be trivial")
+
+    @property
+    def order_index(self) -> int:
+        """The critical index for the full enumeration."""
+        return self.order_index_for(Design(self.q1, self.q0).n_assignments)
 
     def order_index_for(self, n: int) -> int:
         """The critical index for an assignment collection of size n."""
@@ -358,16 +364,11 @@ def lookup_bar_alpha(q1: int, q0: int, alpha: float) -> AlphaEntry:
             f"the smallest feasible alpha by the worst-case size bound is "
             f"{bound:.6f}; pick a larger alpha or calibrate directly",
             smallest_feasible=bound)
-    n = design.n_assignments
-    if printed == _STAR:
-        exact = Fraction(1, n)
-        j = n - 1
-    else:
-        exact = Fraction(printed)
-        j = order_index_from_level(exact, n)
+    starred = printed == _STAR
+    exact = Fraction(1, design.n_assignments) if starred else Fraction(printed)
     return AlphaEntry(q1=q1, q0=q0, alpha=float(key), bar_alpha=float(exact),
-                      order_index=j, source="tabulated",
-                      starred=printed == _STAR, bar_alpha_exact=exact)
+                      source="tabulated", starred=starred,
+                      bar_alpha_exact=exact)
 
 
 def tabulated_cells() -> list[tuple[float, int, int, str]]:

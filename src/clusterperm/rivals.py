@@ -12,6 +12,13 @@ without the target regressor, flips the restricted residuals cluster by
 cluster with Rademacher signs, and recomputes the cluster-robust
 t-statistic on each rebuilt sample.
 
+The arithmetic lives in three kernels with leading batch axes:
+group_t, pooled_t and bootstrap_p_values.  The single-dataset test
+functions below call them on one dataset; the Monte Carlo studies in
+simharness call them on a block of replications.  pooled_t takes rows
+sorted by cluster, so cluster sums are one np.add.reduceat over the row
+axis for ragged data tables and equal-sized study panels alike.
+
 Pooled data is a plain mapping from column name to a one-dimensional
 array; PooledRegressionSpec names the columns that matter.  Interaction
 regressors (for example a post-times-treated column) are supplied as
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import qr
 from scipy.special import stdtr, stdtrit
 
 from .errors import (
@@ -97,6 +104,9 @@ def _column(data: Mapping[str, object], name: str, n: int | None):
 
 
 def _assemble(data: Mapping[str, object], spec: PooledRegressionSpec):
+    """The arguments of pooled_t for one data table: rows sorted by
+    cluster (stable), the cluster start rows, the target column and the
+    sandwich adjustment.  Raises on a rank-deficient design."""
     y = _column(data, spec.outcome, None).astype(float)
     n = y.size
     if n == 0:
@@ -110,45 +120,85 @@ def _assemble(data: Mapping[str, object], spec: PooledRegressionSpec):
     q = int(codes.max()) + 1
     if q < 2:
         raise DomainError("need at least 2 clusters")
-    return y, x, codes, q
-
-
-def _pooled_inverse_gram(x: np.ndarray) -> np.ndarray:
-    """(X'X)^{-1} via pivoted QR, raising on rank deficiency."""
-    qm, r, piv = qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0]):
+    adj = dof_adjustment(n, q, spec.d)
+    diag = np.abs(np.diag(qr(x, mode="r", pivoting=True)[0]))
+    if diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0]):
         raise RankDeficientError("pooled design matrix is rank deficient")
-    rinv = solve_triangular(r, np.eye(r.shape[0]))
-    bread_piv = rinv @ rinv.T
-    d = x.shape[1]
-    bread = np.empty((d, d))
-    bread[np.ix_(piv, piv)] = bread_piv
-    return bread
+    order = np.argsort(codes, kind="stable")
+    starts = np.searchsorted(codes[order], np.arange(q))
+    return (x[order], y[order], starts, spec.regressors.index(spec.target),
+            adj)
 
 
-def _cluster_scores(x: np.ndarray, u: np.ndarray, codes: np.ndarray,
-                    q: int) -> np.ndarray:
-    """(q, d) matrix whose j-th row is X_j' u_j."""
-    scores = np.zeros((q, x.shape[1]))
-    np.add.at(scores, codes, x * u[:, None])
-    return scores
+def pooled_t(x: np.ndarray, y: np.ndarray, starts: np.ndarray, t_idx: int,
+             adj: float, signs: np.ndarray | None = None):
+    """Pooled OLS coefficient of column t_idx, its cluster-robust
+    standard error and their ratio t, over any leading batch axes.
+
+    x is (..., n, d) and y (..., n), with rows sorted by cluster and
+    cluster k's rows starting at starts[k]; adj scales the sandwich
+    variance.  With Rademacher signs (..., R, q) the restricted wild
+    cluster bootstrap statistics t* (..., R) are returned as well.
+    """
+    gram = x.mT @ x
+    bread = np.linalg.inv(gram)
+    a = bread[..., t_idx]
+    xty = np.vecmat(y, x)
+    coef = np.matvec(bread, xty)
+    resid = y - np.matvec(x, coef)
+    scores = np.add.reduceat(x * resid[..., None], starts, axis=-2)
+    se = np.sqrt(adj * np.square(np.matvec(scores, a)).sum(axis=-1))
+    beta = coef[..., t_idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = beta / se
+    if signs is None:
+        return beta, se, t
+
+    # The restricted fit drops the target column.  With g the vector of
+    # cluster signs, the rebuilt outcome is fitted_r + sum_j g_j resid_j,
+    # and because the restricted columns sit inside the full design the
+    # target coefficient and residuals are linear in g:
+    #   coef*(g)  = rho' g           rho_j = a' X_j' resid_j
+    #   resid*(g) = W g              W = scatter(resid) - X bread R'
+    # where a is the target column of (X'X)^{-1} and R stacks the
+    # per-cluster scores X_j' resid_j.  The per-cluster sandwich terms
+    # a' X_j' resid*_j(g) are then the rows of M g, with
+    #   M = diag(sum_{i in j} xa_i resid_i) - C R',
+    #   C_j = sum_{i in j} xa_i X_i bread,  xa = X a.
+    keep = [i for i in range(x.shape[-1]) if i != t_idx]
+    resid_r = y
+    if keep:
+        coef_r = np.matvec(np.linalg.inv(gram[..., keep, :][..., keep]),
+                           xty[..., keep])
+        resid_r = y - np.matvec(x[..., keep], coef_r)
+    r_scores = np.add.reduceat(x * resid_r[..., None], starts, axis=-2)
+    xa = np.matvec(x, a)
+    m = -(np.add.reduceat(xa[..., None] * (x @ bread), starts, axis=-2)
+          @ r_scores.mT)
+    q = len(starts)
+    m[..., np.arange(q), np.arange(q)] += np.add.reduceat(xa * resid_r,
+                                                          starts, axis=-1)
+    coef_star = np.matvec(signs, np.matvec(r_scores, a))
+    var_star = adj * np.square(signs @ m.mT).sum(axis=-1)
+    t_star = np.divide(coef_star, np.sqrt(var_star),
+                       out=np.zeros_like(coef_star), where=var_star > 0.0)
+    return beta, se, t, t_star
 
 
-def _fit(data, spec):
-    y, x, codes, q = _assemble(data, spec)
-    n, d = x.shape
-    adj = dof_adjustment(n, q, d)
-    bread = _pooled_inverse_gram(x)
-    coef = bread @ (x.T @ y)
-    u = y - x @ coef
-    scores = _cluster_scores(x, u, codes, q)
-    meat = scores.T @ scores
-    cov = adj * (bread @ meat @ bread)
-    t_idx = spec.regressors.index(spec.target)
-    variance = cov[t_idx, t_idx]
-    se = math.sqrt(variance) if variance > 0.0 else 0.0
-    return y, x, codes, q, adj, bread, coef, u, t_idx, se
+def bootstrap_p_values(t_star: np.ndarray, t):
+    """Right, left and two-sided bootstrap p-values (1 + #{exceedances})
+    / (R + 1) of t against its R statistics t* on the last axis.
+
+    Exceedance counts use a 1e-9 relative tolerance: the all-plus sign
+    vector reproduces the observed statistic exactly in exact
+    arithmetic, and that tie must not be lost to roundoff.
+    """
+    t = np.asarray(t)[..., None]
+    tol = 1e-9 * np.maximum(1.0, np.abs(t))
+    n = t_star.shape[-1] + 1
+    return ((1 + (t_star >= t - tol).sum(axis=-1)) / n,
+            (1 + (t_star <= t + tol).sum(axis=-1)) / n,
+            (1 + (np.abs(t_star) >= np.abs(t) - tol).sum(axis=-1)) / n)
 
 
 def cluster_robust_ols(data: Mapping[str, object],
@@ -156,8 +206,8 @@ def cluster_robust_ols(data: Mapping[str, object],
     """Pooled OLS coefficient of the target regressor and its
     cluster-robust standard error (sandwich with cluster-summed scores,
     scaled by dof_adjustment)."""
-    *_, coef, _u, t_idx, se = _fit(data, spec)
-    return float(coef[t_idx]), float(se)
+    coef, se, _ = pooled_t(*_assemble(data, spec))
+    return float(coef), float(se)
 
 
 def _t_reference_outcome(statistic: float, df: int, alpha: float, side: str,
@@ -182,24 +232,30 @@ def _t_reference_outcome(statistic: float, df: int, alpha: float, side: str,
         bar_alpha_used=None, method=method, extra=extra)
 
 
+def group_t(x: np.ndarray, q1: int) -> np.ndarray:
+    """Studentized treated-minus-control mean difference over the last
+    axis of x, whose first q1 entries are treated:
+    (mean1 - mean0) / sqrt(s1^2/q1 + s0^2/q0) with sample variances."""
+    x1, x0 = x[..., :q1], x[..., q1:]
+    var_term = (x1.var(axis=-1, ddof=1) / q1
+                + x0.var(axis=-1, ddof=1) / x0.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (x1.mean(axis=-1) - x0.mean(axis=-1)) / np.sqrt(var_term)
+
+
 def im_test(theta_hat: ClusterEstimates, alpha: float,
             side: str = "right") -> TestOutcome:
-    """Two-sample t-test on the cluster estimates: the treated-minus-
-    control mean difference, studentized by sqrt(s1^2/q1 + s0^2/q0)
-    with sample variances, against a t reference with
-    min(q1, q0) - 1 degrees of freedom."""
+    """Two-sample t-test on the cluster estimates: group_t against a t
+    reference with min(q1, q0) - 1 degrees of freedom."""
     check_side_alpha(side, alpha)
     d = theta_hat.design
     if d.q1 < 2 or d.q0 < 2:
         raise ContractError("both groups need at least 2 clusters for "
                             "sample variances")
-    x1 = theta_hat.treated_values
-    x0 = theta_hat.control_values
-    var_term = x1.var(ddof=1) / d.q1 + x0.var(ddof=1) / d.q0
-    if var_term == 0.0:
+    statistic = float(group_t(theta_hat.values, d.q1))
+    if not math.isfinite(statistic):
         raise DegenerateDataError("both groups are constant; the "
                                   "studentized statistic is undefined")
-    statistic = (x1.mean() - x0.mean()) / math.sqrt(var_term)
     df = min(d.q1, d.q0) - 1
     return _t_reference_outcome(statistic, df, alpha, side, "group-t",
                                 {"df": df})
@@ -211,14 +267,14 @@ def bch_test(data: Mapping[str, object], spec: PooledRegressionSpec,
     cluster_robust_ols against a t reference with q - 1 degrees of
     freedom."""
     check_side_alpha(side, alpha)
-    y, x, codes, q, adj, bread, coef, u, t_idx, se = _fit(data, spec)
+    x, y, starts, t_idx, adj = _assemble(data, spec)
+    coef, se, statistic = pooled_t(x, y, starts, t_idx, adj)
     if se == 0.0:
         raise DegenerateDataError("cluster-robust standard error is zero")
-    statistic = float(coef[t_idx]) / se
-    df = q - 1
+    df = len(starts) - 1
     return _t_reference_outcome(
-        statistic, df, alpha, side, "pooled-cluster-t",
-        {"df": df, "coefficient": float(coef[t_idx]), "se": se,
+        float(statistic), df, alpha, side, "pooled-cluster-t",
+        {"df": df, "coefficient": float(coef), "se": float(se),
          "adjustment": adj})
 
 
@@ -233,13 +289,11 @@ def wild_cluster_bootstrap_test(data: Mapping[str, object],
     rebuilds the outcome, and recomputes the pooled cluster-robust
     t-statistic.  One-sided p-value: (1 + #{t*_b >= t}) / (B + 1) on the
     right and the mirror image on the left; two-sided compares absolute
-    values.  Rejects iff the p-value for the requested side is <= alpha.
+    values (bootstrap_p_values).  Rejects iff the p-value for the
+    requested side is <= alpha.
 
     The replication statistics are not recentered: the null value of the
     target coefficient is zero in the bootstrap world, so t* = coef*/se*.
-    Exceedance counts use a 1e-9 relative tolerance: the all-plus sign
-    vector reproduces the observed statistic exactly in exact arithmetic,
-    and that tie must not be lost to roundoff.
     """
     check_side_alpha(side, alpha)
     B = positive_int("B", B)
@@ -249,51 +303,15 @@ def wild_cluster_bootstrap_test(data: Mapping[str, object],
         rng = RngStream(int(rng))
     gen = _as_generator(rng)
 
-    y, x, codes, q, adj, bread, coef, u, t_idx, se = _fit(data, spec)
+    x, y, starts, t_idx, adj = _assemble(data, spec)
+    signs = gen.integers(0, 2, size=(B, len(starts))).astype(float) * 2.0 - 1.0
+    coef, se, t_obs, t_star = pooled_t(x, y, starts, t_idx, adj, signs)
     if se == 0.0:
         raise DegenerateDataError("cluster-robust standard error is zero")
-    t_obs = float(coef[t_idx]) / se
-
-    # restricted fit without the target column
-    keep = [i for i in range(x.shape[1]) if i != t_idx]
-    if keep:
-        x_r = x[:, keep]
-        bread_r = _pooled_inverse_gram(x_r)
-        coef_r = bread_r @ (x_r.T @ y)
-        resid = y - x_r @ coef_r
-    else:
-        resid = y.copy()
-
-    # With g the vector of cluster signs, the rebuilt outcome is
-    # fitted_r + sum_j g_j resid_j, and because the restricted columns
-    # sit inside the full design the target coefficient and residuals
-    # are linear in g:
-    #   coef*(g)  = rho' g           rho_j = a' X_j' resid_j
-    #   resid*(g) = W g              W = scatter(resid) - X bread R'
-    # where a is the target column of (X'X)^{-1} and R stacks the
-    # per-cluster scores X_j' resid_j.  The per-cluster sandwich terms
-    # a' X_j' resid*_j(g) are then rows of M g.
-    a = bread[:, t_idx]
-    r_scores = _cluster_scores(x, resid, codes, q)
-    rho = r_scores @ a
-    scatter = np.zeros((y.size, q))
-    scatter[np.arange(y.size), codes] = resid
-    w = scatter - x @ (bread @ r_scores.T)
-    xa = x @ a
-    m = np.zeros((q, q))
-    np.add.at(m, codes, w * xa[:, None])
-
-    signs = gen.integers(0, 2, size=(B, q)).astype(float) * 2.0 - 1.0
-    coef_star = signs @ rho
-    var_star = adj * np.square(signs @ m.T).sum(axis=1)
-    t_star = np.divide(coef_star, np.sqrt(var_star),
-                       out=np.zeros_like(coef_star), where=var_star > 0.0)
+    t_obs = float(t_obs)
+    p_right, p_left, p_two = map(float, bootstrap_p_values(t_star, t_obs))
 
     n_b = t_star.size
-    tol = 1e-9 * max(1.0, abs(t_obs))
-    p_right = (1 + int((t_star >= t_obs - tol).sum())) / (n_b + 1)
-    p_left = (1 + int((t_star <= t_obs + tol).sum())) / (n_b + 1)
-    p_two = (1 + int((np.abs(t_star) >= abs(t_obs) - tol).sum())) / (n_b + 1)
     if side == "right":
         p_used, ref = p_right, np.sort(t_star)
         k = math.ceil((1.0 - alpha) * (n_b + 1)) - 1
@@ -313,4 +331,4 @@ def wild_cluster_bootstrap_test(data: Mapping[str, object],
         side=side, alpha=alpha, bar_alpha_used=None,
         n_assignments=B, assignment_source="bootstrap",
         method="wild-cluster-bootstrap",
-        extra={"coefficient": float(coef[t_idx]), "se": se, "B": B})
+        extra={"coefficient": float(coef), "se": float(se), "B": B})

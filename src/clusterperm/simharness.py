@@ -14,11 +14,12 @@ Draw order per replication:
   factors and effect shifts are applied outside the generator, so every
   (h, delta) grid cell reuses the same underlying randomness.
 
-The rejection decisions come from vectorized re-implementations of the
-per-test arithmetic (permutation counting via the weight matrix, the
-studentized group statistic, the pooled sandwich t, and the restricted
-wild bootstrap); the test suite pins them to the public single-dataset
-functions rep by rep.
+Each block of replications is decided at once.  The permutation arm
+counts relabelings through the weight matrix; the rivals come from the
+batched kernels in rivals (group_t, pooled_t, bootstrap_p_values), the
+same functions the single-dataset tests call.  This module holds the
+draws, the per-cluster fits of the DiD panel, the block scheduling and
+the result tables.
 """
 
 from __future__ import annotations
@@ -30,24 +31,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import stdtrit
 
-from .errors import (
-    ContractError,
-    DomainError,
-    InputFormatError,
-    ShapeError,
-)
-from .permkit import (
-    Design,
-    RngStream,
-    _as_generator,
-    count_at_or_above,
-    weight_matrix,
-)
+from .errors import ContractError, DomainError, InputFormatError
+from .permkit import Design, RngStream, count_at_or_above, weight_matrix
 from .permtest import lookup_bar_alpha
-from .rivals import dof_adjustment
+from .rivals import bootstrap_p_values, dof_adjustment, group_t, pooled_t
 
 _BLOCK = 256
 _METHODS_NORMAL = ("adjusted-permutation", "group-t")
@@ -172,34 +161,13 @@ class DidConfig:
         return s
 
 
-def ar1_simulate(rho: float, innovations, burn_in: int = 0,
-                 rng=None) -> np.ndarray:
-    """AR(1) recursion u_t = rho*u_{t-1} + v_t started at zero, with the
-    first burn_in values discarded.
-
-    innovations is either the innovation vector itself (rng is ignored)
-    or an integer count of standard normal innovations to draw from rng
-    (an RngStream, Generator, or integer seed).
-    """
-    if not abs(rho) < 1.0:
-        raise DomainError(f"rho must satisfy |rho| < 1, got {rho}")
-    if not (isinstance(burn_in, int) and burn_in >= 0):
-        raise DomainError("burn_in must be a nonnegative integer")
-    if isinstance(innovations, (int, np.integer)):
-        if rng is None:
-            raise ContractError("drawing innovations by count requires rng")
-        if isinstance(rng, (int, np.integer)):
-            rng = RngStream(int(rng))
-        v = _as_generator(rng).standard_normal(int(innovations))
-    else:
-        v = np.asarray(innovations, dtype=float)
-        if v.ndim != 1:
-            raise ShapeError("innovations must be one-dimensional")
-    if burn_in >= v.size:
-        raise DomainError(f"burn_in {burn_in} leaves no observations "
-                          f"from {v.size} innovations")
-    u = lfilter([1.0], [1.0, -float(rho)], v)
-    return u[burn_in:]
+def _ar1(v: np.ndarray, rho: float) -> np.ndarray:
+    """AR(1) recursion u_t = rho*u_{t-1} + v_t along axis 1, started at
+    zero."""
+    u = v.copy()
+    for s in range(1, u.shape[1]):
+        u[:, s] += rho * u[:, s - 1]
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +296,8 @@ def _normal_block(cfg: NormalLocationConfig, lo: int, hi: int):
         mu = base.copy()
         mu[:cfg.q1] = mu1
         x = mu + scaled
-        stats = x @ w
-        ap = count_at_or_above(stats) <= count_max
-        m1 = x[:, :cfg.q1].mean(axis=1)
-        m0 = x[:, cfg.q1:].mean(axis=1)
-        v1 = x[:, :cfg.q1].var(axis=1, ddof=1) / cfg.q1
-        v0 = x[:, cfg.q1:].var(axis=1, ddof=1) / cfg.q0
-        im = (m1 - m0) / np.sqrt(v1 + v0) > t_crit
+        ap = count_at_or_above(x @ w) <= count_max
+        im = group_t(x, cfg.q1) > t_crit
         counts[gi, 0] = ap.sum()
         counts[gi, 1] = im.sum()
     return counts, checksum
@@ -344,7 +307,6 @@ def run_normal_location_study(cfg: NormalLocationConfig,
                               workers: int = 1) -> ResultTable:
     """Rejection frequencies of the adjusted permutation test and the
     group t-test on identical draws, for each mu1 on the grid."""
-    design = Design(cfg.q1, cfg.q0)
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)  # fails fast if infeasible
     if min(cfg.q1, cfg.q0) < 2:
         raise ContractError("the group t-test needs q1 >= 2 and q0 >= 2")
@@ -378,19 +340,7 @@ def _did_layout(cfg: DidConfig):
     return q, t, i_t, d_k, itd
 
 
-def _pooled_fixed_columns(cfg: DidConfig):
-    """Intercept, I_t, and I_t*D_k stacked cluster-major: row order is
-    cluster 0 periods 1..T, then cluster 1, and so on."""
-    q, t, i_t, d_k, _ = _did_layout(cfg)
-    n = q * t
-    codes = np.repeat(np.arange(q), t)
-    it_col = np.tile(i_t, q)
-    itd_col = it_col * np.repeat(d_k, t)
-    return np.column_stack([np.ones(n), it_col, itd_col]), codes
-
-
-def pooled_column_names(cfg: DidConfig) -> tuple[str, ...]:
-    return ("intercept", "post", "post_x_treated", "x1", "x2", "x3")
+POOLED_COLUMNS = ("intercept", "post", "post_x_treated", "x1", "x2", "x3")
 
 
 def _did_block(cfg: DidConfig, lo: int, hi: int):
@@ -414,128 +364,64 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
         signs[i] = gen.integers(0, 2, size=(b_boot, q)) * 2.0 - 1.0
         for arr in (zv[i], zw[i], zx2[i], zx3[i], signs[i]):
             checksum ^= zlib.crc32(arr.tobytes())
-    u0 = lfilter([1.0], [1.0, -cfg.rho], zv, axis=1)[:, cfg.burn_in:, :]
+    u0 = _ar1(zv, cfg.rho)[:, cfg.burn_in:]
 
-    # per-cluster design is [I_t, X1, X2, X3, 1]; pooled design is
-    # [1, I_t, I_t*D_k, X1, X2, X3]
-    fixed_cols, codes = _pooled_fixed_columns(cfg)
     n_pool = q * t
-    d_pool = 6
-    t_idx = 2
-    adj = dof_adjustment(n_pool, q, d_pool)
+    starts = np.arange(0, n_pool, t)
+    t_idx = POOLED_COLUMNS.index("post_x_treated")
+    adj = dof_adjustment(n_pool, q, len(POOLED_COLUMNS))
     t_crit_pool = stdtrit(q - 1, 1.0 - cfg.alpha)
     t_crit_im = stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha)
     design = Design(cfg.q1, cfg.q0)
     w_perm = weight_matrix(design)
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
     count_max = design.n_assignments - entry.order_index
+    deltas = np.asarray(cfg.delta_grid)[:, None, None]
 
+    # pooled design rows are cluster-major: cluster 0 periods 1..T, then
+    # cluster 1, and so on; axis 1 broadcasts over the delta grid
+    x_pool = np.empty((n_rep, 1, n_pool, len(POOLED_COLUMNS)))
+    x_pool[..., 0] = 1.0
+    x_pool[..., 1] = np.tile(i_t, q)
+    x_pool[..., 2] = x_pool[..., 1] * np.repeat(d_k, t)
     counts = np.zeros((len(cfg.h_grid), len(cfg.delta_grid), 4),
                       dtype=np.int64)
-    ones_t = np.ones(t)
     for hi_idx, h in enumerate(cfg.h_grid):
         sig = cfg.sigmas(h)
         x1 = cfg.gamma * itd + sig * zw
         x2 = sig * zx2
         x3 = sig * zx3
-        u = sig * u0
         y_base = (cfg.theta0 * i_t[:, None] + cfg.beta1 * x1
-                  + cfg.beta2 * x2 + cfg.beta3 * x3 + cfg.zeta + u)
+                  + cfg.beta2 * x2 + cfg.beta3 * x3 + cfg.zeta + sig * u0)
+        # (rep, delta, cluster, T)
+        y = (y_base[:, None] + deltas * itd).transpose(0, 1, 3, 2)
 
-        # per-cluster least squares: design tensor (rep, cluster, T, 5)
+        # per-cluster least squares on [I_t, X1, X2, X3, 1]: theta, the
+        # I_t slope, is (rep, delta, cluster)
         dloc = np.empty((n_rep, q, t, 5))
         dloc[..., 0] = i_t
-        dloc[..., 1] = x1.transpose(0, 2, 1)
-        dloc[..., 2] = x2.transpose(0, 2, 1)
-        dloc[..., 3] = x3.transpose(0, 2, 1)
-        dloc[..., 4] = ones_t
+        for c, z in enumerate((x1, x2, x3), start=1):
+            dloc[..., c] = z.transpose(0, 2, 1)
+        dloc[..., 4] = 1.0
         gram_loc = np.einsum("bktd,bkte->bkde", dloc, dloc, optimize=True)
-        gram_loc_inv = np.linalg.inv(gram_loc)
+        slope_w = np.matvec(dloc, np.linalg.inv(gram_loc)[..., 0, :])
+        theta = np.vecdot(slope_w[:, None], y)
 
-        # pooled design (rep, n_pool, d_pool), cluster-major rows
-        x_pool = np.empty((n_rep, n_pool, d_pool))
-        x_pool[:, :, :3] = fixed_cols
-        x_pool[:, :, 3] = x1.transpose(0, 2, 1).reshape(n_rep, n_pool)
-        x_pool[:, :, 4] = x2.transpose(0, 2, 1).reshape(n_rep, n_pool)
-        x_pool[:, :, 5] = x3.transpose(0, 2, 1).reshape(n_rep, n_pool)
-        gram_pool = np.einsum("bnd,bne->bde", x_pool, x_pool, optimize=True)
-        bread = np.linalg.inv(gram_pool)
-        a_vec = bread[:, :, t_idx]
-        xa = np.einsum("bnd,bd->bn", x_pool, a_vec)
-        keep = [i for i in range(d_pool) if i != t_idx]
-        x_restr = x_pool[:, :, keep]
-        gram_restr = np.einsum("bnd,bne->bde", x_restr, x_restr,
-                               optimize=True)
-        bread_restr = np.linalg.inv(gram_restr)
-        xb = np.einsum("bnd,bde->bne", x_pool, bread, optimize=True)
-
-        for di, delta in enumerate(cfg.delta_grid):
-            y = y_base + delta * itd  # (rep, T, q)
-
-            # adjusted permutation and group t on per-cluster slopes
-            y_loc = y.transpose(0, 2, 1)  # (rep, cluster, T)
-            rhs = np.einsum("bktd,bkt->bkd", dloc, y_loc, optimize=True)
-            theta = np.einsum("bkde,bke->bkd", gram_loc_inv, rhs,
-                              optimize=True)[..., 0]
-            stats = theta @ w_perm
-            ap = count_at_or_above(stats) <= count_max
-            m1 = theta[:, :cfg.q1].mean(axis=1)
-            m0 = theta[:, cfg.q1:].mean(axis=1)
-            v1 = theta[:, :cfg.q1].var(axis=1, ddof=1) / cfg.q1
-            v0 = theta[:, cfg.q1:].var(axis=1, ddof=1) / cfg.q0
-            im = (m1 - m0) / np.sqrt(v1 + v0) > t_crit_im
-
-            # pooled cluster-robust t
-            y_flat = y_loc.reshape(n_rep, n_pool)
-            coef = np.einsum("bde,be->bd", bread,
-                             np.einsum("bnd,bn->bd", x_pool, y_flat,
-                                       optimize=True), optimize=True)
-            resid = y_flat - np.einsum("bnd,bd->bn", x_pool, coef,
-                                       optimize=True)
-            s_cl = np.einsum("bktd,bkt->bkd",
-                             x_pool.reshape(n_rep, q, t, d_pool),
-                             resid.reshape(n_rep, q, t), optimize=True)
-            sa = np.einsum("bkd,bd->bk", s_cl, a_vec, optimize=True)
-            var = adj * (sa ** 2).sum(axis=1)
-            t_obs = coef[:, t_idx] / np.sqrt(var)
-            bch = t_obs > t_crit_pool
-
-            # wild cluster bootstrap with the null imposed
-            coef_r = np.einsum("bde,be->bd", bread_restr,
-                               np.einsum("bnd,bn->bd", x_restr, y_flat,
-                                         optimize=True), optimize=True)
-            resid_r = y_flat - np.einsum("bnd,bd->bn", x_restr, coef_r,
-                                         optimize=True)
-            r_scores = np.einsum("bktd,bkt->bkd",
-                                 x_pool.reshape(n_rep, q, t, d_pool),
-                                 resid_r.reshape(n_rep, q, t),
-                                 optimize=True)
-            rho_v = np.einsum("bkd,bd->bk", r_scores, a_vec, optimize=True)
-            w_lin = -np.einsum("bne,bke->bnk", xb, r_scores, optimize=True)
-            w_lin[:, np.arange(n_pool), codes] += resid_r
-            m_mat = np.einsum("bkt,bktj->bkj",
-                              xa.reshape(n_rep, q, t),
-                              w_lin.reshape(n_rep, q, t, q), optimize=True)
-            delta_star = np.einsum("bk,brk->br", rho_v, signs,
-                                   optimize=True)
-            a_star = np.einsum("bkj,brj->brk", m_mat, signs, optimize=True)
-            var_star = adj * (a_star ** 2).sum(axis=2)
-            t_star = np.divide(delta_star, np.sqrt(var_star),
-                               out=np.zeros_like(delta_star),
-                               where=var_star > 0.0)
-            tol = 1e-9 * np.maximum(1.0, np.abs(t_obs))
-            exceed = (t_star >= (t_obs - tol)[:, None]).sum(axis=1)
-            wcb = (1.0 + exceed) / (b_boot + 1.0) <= cfg.alpha
-
-            for mi, flags in enumerate((ap, im, bch, wcb)):
-                counts[hi_idx, di, mi] = flags.sum()
+        x_pool[:, 0, :, 3:] = dloc[..., 1:4].reshape(n_rep, n_pool, 3)
+        _, _, t_obs, t_star = pooled_t(x_pool, y.reshape(n_rep, -1, n_pool),
+                                       starts, t_idx, adj, signs[:, None])
+        flags = (count_at_or_above(theta @ w_perm) <= count_max,
+                 group_t(theta, cfg.q1) > t_crit_im,
+                 t_obs > t_crit_pool,
+                 bootstrap_p_values(t_star, t_obs)[0] <= cfg.alpha)
+        for mi, f in enumerate(flags):
+            counts[hi_idx, :, mi] = f.sum(axis=0)
     return counts, checksum
 
 
 def run_did_study(cfg: DidConfig, workers: int = 1) -> ResultTable:
     """Rejection frequencies of all four tests on identical panel draws,
     for each (h, delta) grid cell."""
-    design = Design(cfg.q1, cfg.q0)
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)  # fails fast if infeasible
     if min(cfg.q1, cfg.q0) < 2:
         raise ContractError("the group t-test needs q1 >= 2 and q0 >= 2")
@@ -559,7 +445,7 @@ def run_did_study(cfg: DidConfig, workers: int = 1) -> ResultTable:
     meta = _config_metadata(cfg)
     meta["bar_alpha"] = format(entry.bar_alpha, ".10g")
     meta["order_index"] = str(entry.order_index)
-    meta["pooled_columns"] = " ".join(pooled_column_names(cfg))
+    meta["pooled_columns"] = " ".join(POOLED_COLUMNS)
     meta["dof_adjustment"] = str(
         Fraction(q * t - 1, 1) * q / Fraction((q * t - 6) * (q - 1)))
     meta["data_checksum"] = f"{checksum:08x}"

@@ -103,7 +103,7 @@ class TestArrayContract:
             p_value(x, bad)
         # design (2, 2) has no tabulated level, so supply one
         entry = AlphaEntry(q1=2, q0=2, alpha=0.5, bar_alpha=0.5,
-                           order_index=3, source="calibrated")
+                           source="calibrated")
         with pytest.raises(error):
             adjusted_test(x, alpha=0.5, assignments=bad, alpha_entry=entry)
 

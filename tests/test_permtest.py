@@ -317,9 +317,16 @@ class TestLookupBarAlpha:
                 assert e.order_index == math.ceil((1 - Fraction(printed)) * n)
 
     def test_alpha_entry_validation(self):
-        with pytest.raises(DomainError):
-            AlphaEntry(q1=4, q0=4, alpha=0.1, bar_alpha=0.001, order_index=70,
+        # order_index is derived from bar_alpha and must lie in [1, N-1];
+        # bar_alpha = 0.05 at N = 6 gives j = ceil(0.95 * 6) = N, a test
+        # that can never reject
+        for q, bar in ((4, 0.001), (2, 0.05)):
+            with pytest.raises(DomainError):
+                AlphaEntry(q1=q, q0=q, alpha=0.5, bar_alpha=bar,
+                           source="calibrated")
+        e = AlphaEntry(q1=2, q0=2, alpha=0.5, bar_alpha=0.5,
                        source="calibrated")
+        assert e.order_index == 3 == e.to_json_dict()["order_index"]
 
 
 # ===========================================================================
@@ -467,7 +474,6 @@ class TestExplicitFullEnumeration:
         n = d.n_assignments
         # bar_alpha = 1/2 gives an order index in [1, n-1] for every n >= 2
         entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha=0.5,
-                           order_index=order_index_from_level(0.5, n),
                            source="calibrated")
         every = _all_assignments(d)
         gen = np.random.default_rng(100 * q1 + q0)
@@ -499,7 +505,6 @@ class TestSplitSumCount:
         d = Design(q1, q0)
         n = d.n_assignments
         entry = AlphaEntry(q1=q1, q0=q0, alpha=2 * bar, bar_alpha=bar,
-                           order_index=order_index_from_level(bar, n),
                            source="calibrated")
         x = np.random.default_rng(q1).integers(0, 5, d.q)
         counts = _subset_sum_counts(x.tolist(), q1)
@@ -562,10 +567,12 @@ class TestSplitSumCount:
             x = gen.standard_normal(d.q) * 10.0 ** gen.uniform(-3, 3)
         n = d.n_assignments
         bar = data.draw(st.sampled_from([0.5, 0.2, 0.05]))
-        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha=bar,
-                           order_index=min(order_index_from_level(bar, n),
-                                           n - 1),
-                           source="calibrated")
+        # a level that gives j = n takes the starred-cell convention
+        # bar_alpha = 1/n, i.e. j = n - 1
+        exact = (Fraction(bar) if order_index_from_level(bar, n) < n
+                 else Fraction(1, n))
+        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha=float(exact),
+                           source="calibrated", bar_alpha_exact=exact)
         est = ClusterEstimates(d, x)
         every = _all_assignments(d)
         for side in ("right", "left", "two-sided"):

@@ -20,10 +20,13 @@ from clusterperm.permkit import Design, RngStream
 from clusterperm.permtest import ClusterEstimates
 from clusterperm.rivals import (
     PooledRegressionSpec,
+    _assemble,
     bch_test,
+    bootstrap_p_values,
     cluster_robust_ols,
     dof_adjustment,
     im_test,
+    pooled_t,
     wild_cluster_bootstrap_test,
 )
 
@@ -487,3 +490,46 @@ class TestWildClusterBootstrap:
         assert blob["method"] == "wild-cluster-bootstrap"
         assert blob["B"] == 99
         assert blob["n_assignments"] == 99
+
+
+# =========================================================================
+# Batched kernel
+# =========================================================================
+
+class TestBatchedKernel:
+    """One pooled_t call over a stack of same-layout datasets, as the
+    studies make it, against the single-dataset tests on each one."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_call_matches_single_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(4, 11))
+        # ragged clusters, rows shuffled across clusters
+        cid = rng.permutation(np.repeat(np.arange(q), rng.integers(2, 7, q)))
+        n = cid.size
+        tr = (cid < q // 2).astype(float)
+        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
+        tables = []
+        for _ in range(5):
+            x1 = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            y = 0.4 * tr + 0.3 * x1 + rng.normal(size=n) * (1.0 + cid)
+            tables.append({"y": y, "one": np.ones(n), "x1": x1, "tr": tr,
+                           "cid": cid})
+        parts = [_assemble(table, spec) for table in tables]
+        _, _, starts, t_idx, adj = parts[0]
+        signs = np.stack([
+            RngStream(seed, b).generator().integers(0, 2, size=(199, q))
+            * 2.0 - 1.0 for b in range(len(tables))])
+        _, _, t, t_star = pooled_t(np.stack([p[0] for p in parts]),
+                                   np.stack([p[1] for p in parts]), starts,
+                                   t_idx, adj, signs)
+        p_right, p_left, p_two = bootstrap_p_values(t_star, t)
+        for b, table in enumerate(tables):
+            bch = bch_test(table, spec, 0.10)
+            wcb = wild_cluster_bootstrap_test(table, spec, 0.10, B=199,
+                                              rng=RngStream(seed, b))
+            assert t[b] == pytest.approx(bch.statistic, rel=1e-9)
+            assert (t[b] > bch.critical_value) == (bch.decision == "reject")
+            assert (p_right[b], p_left[b], p_two[b]) == (
+                wcb.p_value_right, wcb.p_value_left, wcb.p_value_two_sided)
+            assert (p_right[b] <= 0.10) == (wcb.decision == "reject")

@@ -1,12 +1,17 @@
 """Tests for the Monte Carlo study harness.
 
-The vectorized study engines are pinned, replication by replication, to
-the public single-dataset test functions, so the fast paths cannot
-drift away from the reference implementations.
+The study blocks call the same rival kernels as the single-dataset
+tests; they are pinned, replication by replication, to the public
+single-dataset functions, which also covers the permutation arm and
+the DiD study's own per-cluster fits.
 """
 
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +20,8 @@ from scipy.signal import lfilter
 from clusterperm import simharness as sh
 from clusterperm.errors import (
     ClusterPermError,
-    ContractError,
     DomainError,
     InputFormatError,
-    ShapeError,
 )
 from clusterperm.estimators import ClusterDataset, EstimatorSpec, per_cluster_ols
 from clusterperm.permkit import Design, RngStream
@@ -33,7 +36,6 @@ from clusterperm.simharness import (
     DidConfig,
     NormalLocationConfig,
     ResultTable,
-    ar1_simulate,
     did_config_from_mapping,
     normal_config_from_mapping,
     parse_key_value_file,
@@ -188,53 +190,52 @@ class TestDidConfig:
 # =========================================================================
 
 class TestAr1Simulate:
+    """The study's AR(1) recursion, which runs along axis 1."""
+
     def test_hand_recursion(self):
-        out = ar1_simulate(0.5, [1.0, 2.0, 3.0])
-        assert out.tolist() == list(AR1_HAND)
+        out = sh._ar1(np.array([[1.0, 2.0, 3.0]]), 0.5)
+        assert out[0].tolist() == list(AR1_HAND)
 
     def test_rho_zero_is_passthrough(self):
-        v = RngStream(3).generator().standard_normal(50)
-        assert np.array_equal(ar1_simulate(0.0, v), v)
+        v = RngStream(3).generator().standard_normal((2, 50))
+        assert np.array_equal(sh._ar1(v, 0.0), v)
 
     def test_burn_in_slices_the_same_path(self):
-        v = RngStream(4).generator().standard_normal(200)
-        full = ar1_simulate(0.7, v)
-        assert np.array_equal(ar1_simulate(0.7, v, burn_in=60), full[60:])
+        # restarting the recursion at t = 60 from the burned-in state
+        # continues the full path exactly
+        v = RngStream(4).generator().standard_normal((2, 200))
+        full = sh._ar1(v, 0.7)
+        tail = v[:, 60:].copy()
+        tail[:, 0] += 0.7 * full[:, 59]
+        assert np.array_equal(sh._ar1(tail, 0.7), full[:, 60:])
 
     def test_scale_equivariance(self):
-        v = RngStream(5).generator().standard_normal(80)
-        np.testing.assert_allclose(ar1_simulate(0.4, 2.5 * v),
-                                   2.5 * ar1_simulate(0.4, v), rtol=1e-12)
+        v = RngStream(5).generator().standard_normal((2, 80))
+        np.testing.assert_allclose(sh._ar1(2.5 * v, 0.4),
+                                   2.5 * sh._ar1(v, 0.4), rtol=1e-12)
 
     def test_stationary_moments(self):
-        u = ar1_simulate(0.5, 1_000_000, burn_in=500, rng=RngStream(11))
+        # 200 independent paths of 5,500 steps, the first 500 burned in
+        v = RngStream(11).generator().standard_normal((200, 5_500))
+        u = sh._ar1(v, 0.5)[:, 500:]
         assert abs(u.var() - AR1_STATIONARY_VAR) < 0.02
-        lag1 = np.corrcoef(u[:-1], u[1:])[0, 1]
+        lag1 = np.corrcoef(u[:, :-1].ravel(), u[:, 1:].ravel())[0, 1]
         assert abs(lag1 - 0.5) < 0.01
 
-    def test_count_mode_rng_forms_agree(self):
-        a = ar1_simulate(0.5, 100, rng=RngStream(7))
-        b = ar1_simulate(0.5, 100, rng=7)
-        c = ar1_simulate(0.5, 100, rng=RngStream(7).generator())
-        assert np.array_equal(a, b) and np.array_equal(a, c)
+    @pytest.mark.parametrize("rho", [0.5, -0.3, 0.9, 0.123456789])
+    def test_matches_lfilter_bit_for_bit(self, rho):
+        v = RngStream(12).generator().standard_normal((256, 520, 12))
+        assert np.array_equal(sh._ar1(v, rho),
+                              lfilter([1.0], [1.0, -rho], v, axis=1))
 
-    def test_count_mode_requires_rng(self):
-        with pytest.raises(ContractError):
-            ar1_simulate(0.5, 100)
-
-    @pytest.mark.parametrize("call", [
-        lambda: ar1_simulate(1.0, [1.0, 2.0]),
-        lambda: ar1_simulate(0.5, [1.0, 2.0], burn_in=2),
-        lambda: ar1_simulate(0.5, [1.0, 2.0], burn_in=-1),
-        lambda: ar1_simulate(0.5, 10, rng="seed"),
-    ])
-    def test_domain_errors(self, call):
-        with pytest.raises(DomainError):
-            call()
-
-    def test_matrix_innovations_rejected(self):
-        with pytest.raises(ShapeError):
-            ar1_simulate(0.5, np.ones((3, 3)))
+    def test_cli_import_leaves_out_scipy_signal(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", "import clusterperm.cli, sys; "
+             "print('scipy.signal' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 # =========================================================================

@@ -347,6 +347,10 @@ def dispatch(argv=None) -> int:
         if getattr(ns, "json", False) and getattr(ns, "csv", False):
             raise _UsageError("choose at most one of --json / --csv")
         payload, text = _HANDLERS[ns.command](ns)
+        if getattr(ns, "json", False):
+            text = json.dumps(payload, allow_nan=False)
+        elif getattr(ns, "csv", False):
+            text = _csv_record(payload)
     except _UsageError as exc:
         _emit_error("UsageError", str(exc))
         return 2
@@ -358,15 +362,10 @@ def dispatch(argv=None) -> int:
     except ClusterPermError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
-    except Exception as exc:       # pragma: no cover - defensive
+    except Exception as exc:       # e.g. a non-finite --json payload
         _emit_error(type(exc).__name__, str(exc))
         return 1
-    if getattr(ns, "json", False):
-        print(json.dumps(payload))
-    elif getattr(ns, "csv", False):
-        print(_csv_record(payload))
-    else:
-        print(text)
+    print(text)
     return 0
 
 

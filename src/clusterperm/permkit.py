@@ -12,10 +12,14 @@ contract; `assignment_blocks` yields the full collection in
 lexicographic order, identity first; `count_at_or_above` is the test's
 tie rule on an explicit collection.  `SubsetSums` counts and selects
 over the full collection of one data vector without listing it.
+`relabeling_counts` is the one counting kernel for many data rows at
+once: x @ W in cache-sized row blocks, or `SubsetSums` per row when
+the full enumeration's weight matrix is above the cap.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -31,6 +35,7 @@ _BLOCK_ROWS = 1 << 18  # assignments per enumeration block
 _SAMPLE_ROWS = 1 << 14  # draws per sampling block
 _COUNT_ROWS = 1 << 16  # left sums per split-sum counting chunk
 _PROBE_SAMPLE = 1 << 12  # sums sampled to place a selection probe
+_PRODUCT_BYTES = 1 << 21  # bytes of x @ W per counting block
 
 
 def positive_int(name: str, value) -> int:
@@ -355,3 +360,66 @@ def weight_matrix(design: Design, assignments=None) -> np.ndarray:
     w = np.full((design.q, len(idx)), -1.0 / design.q0)
     w[idx.T, np.arange(len(idx))] = 1.0 / design.q1
     return w
+
+
+@functools.lru_cache(maxsize=1)
+def _enumeration_weights(design: Design) -> np.ndarray:
+    """weight_matrix(design), built once per design and read-only."""
+    w = weight_matrix(design)
+    w.flags.writeable = False
+    return w
+
+
+def _exact_integers(rows: np.ndarray, design: Design) -> bool:
+    """Whether rows are integers small enough that every partial sum of
+    x @ (q1*q0*W) is an integer their dtype represents exactly."""
+    if not float(rows.flat[0]).is_integer():  # the usual, quick answer
+        return False
+    top = design.q * max(design.q1, design.q0) * float(np.abs(rows).max())
+    return (top < 2.0 ** (np.finfo(rows.dtype).nmant + 1)
+            and bool(np.all(rows == np.rint(rows))))
+
+
+def relabeling_counts(x, design: Design, w: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """For each row of x (shape (..., q)), the number of relabelings
+    whose statistic is >= the identity's (`count_at_or_above`), as an
+    array of shape x.shape[:-1].
+
+    w is the (q, m) weight matrix of an explicit collection, identity in
+    column 0; None means the full enumeration of the design.  float32
+    rows stay float32 (w is cast to their dtype); other rows are
+    float64.  x @ W is formed in row blocks of about _PRODUCT_BYTES, and
+    of at least q rows, so that reading W costs no more than the block.
+    Integer rows are counted on x @ (q1*q0*W), which is exact, so tied
+    relabelings stay tied.  When the full enumeration's weight matrix is
+    above the cap, each row is counted on its treated-entry sums by
+    `SubsetSums` instead, which orders the assignments as the statistic
+    does.
+    """
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != design.q:
+        raise ShapeError(f"rows must have {design.q} entries, got shape "
+                         f"{x.shape}")
+    rows = x.reshape(-1, design.q)
+    if w is None and design.n_assignments * design.q > DEFAULT_ENUMERATION_CAP:
+        out = np.empty(len(rows), dtype=np.int64)
+        for i, row in enumerate(rows):
+            sums = SubsetSums(design, row)
+            out[i] = sums.count_at_least(sums.identity)
+        return out.reshape(x.shape[:-1])
+    w = (_enumeration_weights(design) if w is None else w).astype(
+        x.dtype, copy=False)
+    if len(rows) and _exact_integers(rows, design):
+        # 1/q1 and 1/q0 round, so x @ W can split exact ties; on
+        # integers q1*q0*W gives every statistic times q1*q0 exactly
+        w = np.rint(w * (design.q1 * design.q0))
+    m = w.shape[1]
+    dtype = np.int16 if m < 1 << 15 else np.int64
+    step = max(design.q, _PRODUCT_BYTES // (m * x.itemsize))
+    out = np.empty(len(rows), dtype=dtype)
+    for lo in range(0, len(rows), step):
+        out[lo:lo + step] = count_at_or_above(rows[lo:lo + step] @ w, dtype)
+    return out.reshape(x.shape[:-1])

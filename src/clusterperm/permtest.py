@@ -37,6 +37,15 @@ from .permkit import (
 _SIDES = ("right", "left", "two-sided")
 
 
+def _check_sums_finite(x: np.ndarray, what: str) -> None:
+    """DomainError unless q * max|x| is finite, which bounds every
+    subset sum, so no relabeled statistic can overflow."""
+    top = float(np.abs(x).max())
+    if not math.isfinite(len(x) * top):
+        raise DomainError(f"{what} reach {top:.17g} in magnitude, so their "
+                          f"sums over q={len(x)} clusters overflow")
+
+
 class ClusterEstimates:
     """Per-cluster estimate vector ordered treated-first.
 
@@ -57,6 +66,7 @@ class ClusterEstimates:
                 f"got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise DomainError("cluster estimates must all be finite")
+        _check_sums_finite(arr, "cluster estimates")
         if cluster_ids is not None and len(cluster_ids) != design.q:
             raise ShapeError("cluster_ids length must match the cluster count")
         arr.flags.writeable = False
@@ -468,6 +478,7 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
 
     x = theta_hat.values.copy()
     x[:design.q1] -= lam
+    _check_sums_finite(x, "cluster estimates after the lambda shift")
 
     if bool(np.all(x == x[0])):
         warnings.warn(

@@ -15,7 +15,8 @@ Draw order per replication:
   (h, delta) grid cell reuses the same underlying randomness.
 
 Each block of replications is decided at once.  The permutation arm
-counts relabelings through the weight matrix; the rivals come from the
+counts relabelings with permkit.relabeling_counts, through the weight
+matrix or, above its cap, by split subset sums; the rivals come from the
 batched kernels in rivals (group_t, pooled_t, bootstrap_p_values), the
 same functions the single-dataset tests call.  This module holds the
 draws, the per-cluster fits of the DiD panel, the block scheduling and
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import ContractError, DomainError, InputFormatError
-from .permkit import Design, RngStream, count_at_or_above, weight_matrix
+from .permkit import Design, RngStream, relabeling_counts
 from .permtest import lookup_bar_alpha
 from .rivals import bootstrap_p_values, dof_adjustment, group_t, pooled_t
 
@@ -277,7 +278,6 @@ def did_config_from_mapping(mapping) -> DidConfig:
 def _normal_block(cfg: NormalLocationConfig, lo: int, hi: int):
     design = Design(cfg.q1, cfg.q0)
     q = design.q
-    w = weight_matrix(design)
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
     count_max = design.n_assignments - entry.order_index
     t_crit = stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha)
@@ -296,7 +296,7 @@ def _normal_block(cfg: NormalLocationConfig, lo: int, hi: int):
         mu = base.copy()
         mu[:cfg.q1] = mu1
         x = mu + scaled
-        ap = count_at_or_above(x @ w) <= count_max
+        ap = relabeling_counts(x, design) <= count_max
         im = group_t(x, cfg.q1) > t_crit
         counts[gi, 0] = ap.sum()
         counts[gi, 1] = im.sum()
@@ -373,7 +373,6 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
     t_crit_pool = stdtrit(q - 1, 1.0 - cfg.alpha)
     t_crit_im = stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha)
     design = Design(cfg.q1, cfg.q0)
-    w_perm = weight_matrix(design)
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
     count_max = design.n_assignments - entry.order_index
     deltas = np.asarray(cfg.delta_grid)[:, None, None]
@@ -410,7 +409,7 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
         x_pool[:, 0, :, 3:] = dloc[..., 1:4].reshape(n_rep, n_pool, 3)
         _, _, t_obs, t_star = pooled_t(x_pool, y.reshape(n_rep, -1, n_pool),
                                        starts, t_idx, adj, signs[:, None])
-        flags = (count_at_or_above(theta @ w_perm) <= count_max,
+        flags = (relabeling_counts(theta, design) <= count_max,
                  group_t(theta, cfg.q1) > t_crit_im,
                  t_obs > t_crit_pool,
                  bootstrap_p_values(t_star, t_obs)[0] <= cfg.alpha)

@@ -10,6 +10,7 @@ Tabulated anchor values are pinned with the tolerances stated alongside.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from clusterperm.calibrate import (
     CalibrationParams,
+    _TwoPassEngine,
     calibrate_exhaustive,
     calibrate_sampled,
     rejection_rate,
@@ -28,7 +30,7 @@ from clusterperm.errors import (
     InfeasibleLevelError,
     ShapeError,
 )
-from clusterperm.permkit import Design, RngStream
+from clusterperm.permkit import Design, RngStream, weight_matrix
 from clusterperm.permtest import order_index_from_level, size_bound
 
 _FAST = CalibrationParams(R=200, S1=200, S2=1000, seed=5)
@@ -209,6 +211,25 @@ class TestCalibrateExhaustive:
                                            tolerance_eta=0.05)
         relaxed = calibrate_exhaustive(Design(4, 4), 0.10, relaxed_params)
         assert relaxed.order_index <= base.order_index
+
+
+class TestTwoPassEngineMemory:
+    def test_first_pass_scratch_stays_small(self):
+        # 60 patterns of 1,000 draws at 6+5 hold 28 M statistics; counted
+        # in cache-sized blocks they never need more than a few MB at once
+        d = Design(6, 5)
+        params = CalibrationParams(R=60, S1=1000, S2=2000, seed=3)
+        variances = np.full((params.R, d.q), 0.5)
+        w = weight_matrix(d)
+        tracemalloc.start()
+        try:
+            engine = _TwoPassEngine(d, w, variances, params, RngStream(3))
+            engine.worst_refined_rate(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert engine.c1.shape == (60, 1000)
 
 
 # ===========================================================================

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clusterperm import cli, simharness
 from clusterperm.calibrate import CalibrationParams, calibrate_exhaustive
 from clusterperm.cli import dispatch
 from clusterperm.errors import DegeneracyWarning
@@ -307,6 +308,25 @@ class TestTestCommand:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    def test_overflowing_estimates_exit_two(self, capsys, tmp_path):
+        # finite estimates whose subset sums overflow to inf used to give
+        # a NaN statistic and "critical_value": Infinity on exit 0
+        path = tmp_path / "huge.csv"
+        write_estimates_csv(path, [1e308, -1e308] * 4, q1=4)
+        code, out, err = run_cli(capsys, "test", "--input", str(path),
+                                 "--alpha", "0.10", "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
+    def test_overflowing_lambda_shift_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "est.csv"
+        write_estimates_csv(path, list(range(8)), q1=4)
+        code, out, err = run_cli(capsys, "test", "--input", str(path),
+                                 "--alpha", "0.10", "--lambda", "1e308",
+                                 "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
     def test_json_and_csv_flags_conflict(self, capsys, tmp_path):
         path = tmp_path / "est.csv"
         write_estimates_csv(path, list(range(8)), q1=4)
@@ -400,6 +420,35 @@ class TestSimulateCommand:
             in content
         assert "wild-cluster-bootstrap" in content
 
+    @pytest.mark.parametrize("study, settings", [
+        ("normal", "q1=12\nq0=12\nmu1_grid=0,2\n"),
+        ("did", "q1=11\nq0=11\nh_grid=1\ndelta_grid=0,2\nburn_in=50\n"
+                "bootstrap_B=19\n"),
+    ])
+    def test_above_cap_study_matches_across_workers(self, capsys, tmp_path,
+                                                    monkeypatch, study,
+                                                    settings):
+        # the weight matrix of these designs is above the cap, so the
+        # permutation arm counts by split subset sums; blocks of 4
+        # replications give the two workers three blocks to share
+        monkeypatch.setattr(simharness, "_BLOCK", 4)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(settings + "replications=10\nseed=8\n")
+        outs = []
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"w{workers}.csv"
+            code, _, err = run_cli(capsys, "simulate", "--study", study,
+                                   "--config", str(cfg), "--out",
+                                   str(out_path), "--workers", workers)
+            assert code == 0, err
+            outs.append(out_path.read_bytes())
+        assert outs[0] == outs[1]
+        rows = list(csv.reader(line for line in outs[0].decode().splitlines()
+                               if not line.startswith("#")))
+        perm = [r for r in rows[1:] if r[2] == "adjusted-permutation"]
+        assert len(perm) == 2
+        assert all(0.0 <= float(r[3]) <= 1.0 for r in perm)
+
     def test_unknown_config_key_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("q1=5\nbogus=1\n")
@@ -447,6 +496,14 @@ class TestDispatch:
         code, _, err = run_cli(capsys)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "UsageError"
+
+    def test_non_finite_json_payload_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "bound",
+                            lambda ns: ({"size_bound": float("nan")}, "nan"))
+        code, out, err = run_cli(capsys, "bound", "--q1", "4", "--q0", "4",
+                                 "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
     def test_runs_as_module(self):
         src = Path(__file__).resolve().parents[1] / "src"

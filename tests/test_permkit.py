@@ -1,5 +1,6 @@
-"""Tests for assignment enumeration, sampling, the array contract, and
-the weight matrix.  Enumeration oracles come from itertools.combinations."""
+"""Tests for assignment enumeration, sampling, the array contract, the
+weight matrix and the counting kernel.  Enumeration oracles come from
+itertools.combinations."""
 
 from __future__ import annotations
 
@@ -13,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from clusterperm import permkit
 from clusterperm.errors import CapacityError, ContractError, DomainError, ShapeError
 from clusterperm.permkit import (
     Design,
     RngStream,
     assignment_blocks,
     check_assignments,
+    count_at_or_above,
+    relabeling_counts,
     sample_assignments,
     weight_matrix,
 )
@@ -312,3 +316,69 @@ class TestWeightMatrix:
         # C(22, 11) * 22 = 15.5M entries, above the 10M cap
         with pytest.raises(CapacityError):
             weight_matrix(Design(11, 11))
+
+
+class TestRelabelingCounts:
+    def test_split_sums_agree_with_matmul_at_ten_ten(self, monkeypatch):
+        # 10+10 is the largest symmetric design whose weight matrix fits
+        # under the cap; lowering the cap sends the same rows to the
+        # split-sum path
+        d = Design(10, 10)
+        gen = RngStream(31).generator()
+        sig = gen.permuted(np.geomspace(0.1, 10.0, d.q))
+        x = gen.standard_normal((2000, d.q)) * sig
+        x[:, :d.q1] += gen.uniform(0.0, 3.0, (2000, 1))
+        via_w = relabeling_counts(x, d)
+        monkeypatch.setattr(permkit, "DEFAULT_ENUMERATION_CAP", 1 << 20)
+        with pytest.raises(CapacityError):
+            weight_matrix(d)
+        via_sums = relabeling_counts(x, d)
+        assert via_sums.dtype == np.int64
+        np.testing.assert_array_equal(via_w, via_sums)
+        assert via_w.min() < 100 and via_w.max() > d.n_assignments // 2
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tie_heavy_integers_match_brute_force(self, dtype):
+        gen = RngStream(32).generator()
+        for q in range(2, 11):
+            for q1 in range(1, q):
+                d = Design(q1, q - q1)
+                x = gen.integers(-2, 3, size=(40, q))
+                sums = x[:, _all_assignments(d)].sum(axis=-1)
+                expected = (sums >= sums[:, :1]).sum(axis=-1)
+                got = relabeling_counts(x.astype(dtype), d)
+                np.testing.assert_array_equal(got, expected, err_msg=str(d))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_counts_do_not_depend_on_block_size(self, monkeypatch, dtype):
+        d = Design(6, 5)
+        w = weight_matrix(d)
+        gen = RngStream(33).generator()
+        x = (gen.standard_normal((7, 13, d.q)) * np.geomspace(0.2, 2.0, d.q)
+             ).astype(dtype)
+        one_shot = count_at_or_above(x @ w.astype(dtype))
+        # 1 byte gives the floor of q = 11 rows; the others give 12 and
+        # 17 rows; every one ends blocks inside a set of 13 rows
+        for size in (1, 12 * d.n_assignments * x.itemsize,
+                     17 * d.n_assignments * x.itemsize, 1 << 21):
+            monkeypatch.setattr(permkit, "_PRODUCT_BYTES", size)
+            got = relabeling_counts(x, d)
+            assert got.shape == (7, 13)
+            np.testing.assert_array_equal(got, one_shot, err_msg=str(size))
+
+    def test_explicit_collection_keeps_float32(self):
+        d = Design(7, 6)
+        draws = sample_assignments(d, 500, rng=RngStream(34))
+        w32 = weight_matrix(d, draws).astype(np.float32)
+        x = RngStream(35).generator().standard_normal((300, d.q),
+                                                      dtype=np.float32)
+        got = relabeling_counts(x, d, w32)
+        np.testing.assert_array_equal(got, count_at_or_above(x @ w32))
+        # 1 + 1e-9 rounds to 1 in float32, which ties the two relabelings
+        x = np.array([1.0 + 1e-9, 1.0])
+        assert relabeling_counts(x, Design(1, 1)) == 1
+        assert relabeling_counts(x.astype(np.float32), Design(1, 1)) == 2
+
+    def test_row_length_must_match_design(self):
+        with pytest.raises(ShapeError):
+            relabeling_counts(np.zeros((3, 5)), Design(3, 3))

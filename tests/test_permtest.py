@@ -397,6 +397,17 @@ class TestAdjustedTest:
         # and without the shift the same data reject
         assert adjusted_test(est, alpha=0.10).decision == "reject"
 
+    def test_overflowing_sums_rejected(self):
+        with pytest.raises(DomainError):
+            _estimates([1e308, -1e308] * 4, 4)
+        est = _estimates(range(8), 4)
+        with pytest.raises(DomainError):
+            adjusted_test(est, alpha=0.10, lam=1e308)
+        # q * max|x| just below the largest double is fine
+        top = np.finfo(float).max / 8
+        assert adjusted_test(_estimates([top, -top] * 4, 4),
+                             alpha=0.10).decision == "retain"
+
     def test_decision_equals_pvalue_rule(self):
         # rejection iff the exact rational p-value is <= bar_alpha
         gen = np.random.default_rng(23)

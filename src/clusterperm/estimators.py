@@ -16,8 +16,11 @@ study design; nothing here checks or estimates those variances.
 from __future__ import annotations
 
 import csv
+import gc
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
@@ -86,32 +89,28 @@ class ClusterDataset:
                 raise DomainError("post indicators must be 0 or 1")
             p = p.astype(float)
 
-        first_seen: dict[str, int] = {}
-        flag_of: dict[str, bool] = {}
-        for i, cid in enumerate(ids):
-            if cid not in first_seen:
-                first_seen[cid] = i
-                flag_of[cid] = bool(flags[i])
-            elif flag_of[cid] != bool(flags[i]):
-                raise InputFormatError(
-                    f"treated flag varies within cluster {cid!r}")
-        order = sorted(first_seen, key=first_seen.__getitem__)
-        treated_ids = [c for c in order if flag_of[c]]
-        control_ids = [c for c in order if not flag_of[c]]
-        if not treated_ids or not control_ids:
+        # code k is the k-th cluster id to appear; rank orders the codes
+        # treated-first, each block in order of first appearance
+        code_of: dict[str, int] = {}
+        codes = np.array([code_of.setdefault(c, len(code_of)) for c in ids],
+                         dtype=np.intp)
+        flag_of = flags[np.unique(codes, return_index=True)[1]]
+        varies = flags != flag_of[codes]
+        if varies.any():
+            raise InputFormatError("treated flag varies within cluster "
+                                   f"{ids[int(varies.argmax())]!r}")
+        q1 = int(flag_of.sum())
+        if not 0 < q1 < flag_of.size:
             raise DomainError("need at least one treated and one control cluster")
-        ordered = treated_ids + control_ids
+        by_rank = np.argsort(~flag_of, kind="stable")
+        row_rank = np.argsort(by_rank)[codes]
+        row_index = np.argsort(row_rank, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(row_rank))])
+        names = list(code_of)
 
-        row_index = np.concatenate(
-            [np.flatnonzero(np.asarray(ids, dtype=object) == cid)
-             for cid in ordered])
-        sizes = [int((np.asarray(ids, dtype=object) == cid).sum())
-                 for cid in ordered]
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-
-        object.__setattr__(self, "design",
-                           Design(len(treated_ids), len(control_ids)))
-        object.__setattr__(self, "cluster_ids", tuple(ordered))
+        object.__setattr__(self, "design", Design(q1, flag_of.size - q1))
+        object.__setattr__(self, "cluster_ids",
+                           tuple(names[c] for c in by_rank))
         object.__setattr__(self, "_y", y[row_index])
         object.__setattr__(self, "_x", x[row_index])
         object.__setattr__(self, "_post",
@@ -136,10 +135,6 @@ class ClusterDataset:
     @property
     def n_covariates(self) -> int:
         return int(self._x.shape[1])
-
-    @property
-    def n_rows(self) -> int:
-        return int(self._y.size)
 
     def cluster_rows(self, k: int):
         """(outcomes, covariates, post-or-None) of the k-th cluster
@@ -176,10 +171,6 @@ class EstimatorSpec:
         elif self.link is not None:
             raise DomainError(f"link is only meaningful for binary-choice, "
                               f"got {self.link!r} with mode {self.mode!r}")
-
-    @property
-    def target_coordinate(self) -> int:
-        return 0
 
 
 def _ols_coefficients(xd: np.ndarray, y: np.ndarray, cid: str) -> np.ndarray:
@@ -318,75 +309,94 @@ def _parse_float(value: str, column: str, lineno: int) -> float:
             f"{column!r}") from None
 
 
-def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
+def _read_rows(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
+    """The stripped header, the non-blank records and their row numbers
+    (record index + 2)."""
+    # The reader's lists hold no cycles, so collector passes over them are
+    # pure cost (a third of the read at 48,000 rows): pause the collector.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            records = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    finally:
+        if collecting:
+            gc.enable()
+    if not records:
+        raise InputFormatError(f"{path}: empty file")
+    header = [h.strip() for h in records[0]]
+    rows = records[1:]
+    width = len(header)
+    linenos = range(2, len(rows) + 2)
+    if not (width and set(map(len, rows)) <= {width}
+            and all(map(str.strip, map(itemgetter(0), rows)))):
+        linenos = [n for n, row in zip(linenos, rows)
+                   if any(map(str.strip, row))]
+        rows = [rows[n - 2] for n in linenos]
+        for lineno, row in zip(linenos, rows):
+            if len(row) != width:
                 raise InputFormatError(
-                    f"row {lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}")
-            rows.append((lineno, row))
+                    f"row {lineno}: expected {width} fields, got {len(row)}")
     if not rows:
         raise InputFormatError(f"{path}: no data rows")
-    return header, rows
+    return header, rows, linenos
 
 
 def ingest_csv(path, schema: str = "observations"):
     """Read a CSV file into a ClusterDataset (schema 'observations':
     header cluster_id,treated,outcome[,post][,covariates...]) or a
     ClusterEstimates (schema 'estimates': header
-    cluster_id,treated,estimate, one row per cluster)."""
+    cluster_id,treated,estimate, one row per cluster).  Columns are parsed
+    whole by float(); on a failure the rows are rescanned in order, so the
+    error names the first bad cell."""
     if schema == "estimates":
         return load_estimates(path)
     if schema != "observations":
         raise DomainError(
             f"schema must be 'observations' or 'estimates', got {schema!r}")
-    header, rows = _read_rows(path)
+    header, rows, linenos = _read_rows(path)
     if tuple(header[:3]) != _OBS_PREFIX:
         raise InputFormatError(
             f"header must start with {','.join(_OBS_PREFIX)}; got "
             f"{','.join(header[:3])}")
-    rest = header[3:]
-    has_post = bool(rest) and rest[0] == "post"
-    cov_names = rest[1:] if has_post else rest
+    has_post = len(header) > 3 and header[3] == "post"
+    binary = (1, 3) if has_post else (1,)
+    fields = [(j, header[j], _parse_binary if j in binary else _parse_float)
+              for j in range(1, len(header))]
 
-    ids, treated, outcome, post, covs = [], [], [], [], []
-    for lineno, row in rows:
-        ids.append(row[0].strip())
-        treated.append(_parse_binary(row[1], "treated", lineno))
-        outcome.append(_parse_float(row[2], "outcome", lineno))
-        base = 3
-        if has_post:
-            post.append(_parse_binary(row[3], "post", lineno))
-            base = 4
-        covs.append([_parse_float(row[base + i], cov_names[i], lineno)
-                     for i in range(len(cov_names))])
+    values = []
+    try:
+        for j, _, parse in fields:
+            cells = itemgetter(j)
+            if parse is _parse_binary and not {"0", "1"}.issuperset(
+                    map(str.strip, map(cells, rows))):
+                raise ValueError
+            values.append(np.fromiter(map(float, map(cells, rows)), float,
+                                      len(rows)))
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
+            for j, name, parse in fields:
+                parse(row[j], name, lineno)
+        raise
+    covs = values[2 + has_post:]
     return ClusterDataset(
-        ids, treated, outcome,
-        covariates=np.asarray(covs, dtype=float).reshape(len(ids),
-                                                         len(cov_names)),
-        post=post if has_post else None)
+        list(map(str.strip, map(itemgetter(0), rows))), values[0], values[1],
+        covariates=np.stack(covs, axis=1) if covs else None,
+        post=values[2] if has_post else None)
 
 
 def load_estimates(path) -> ClusterEstimates:
     """Read precomputed per-cluster estimates
     (cluster_id,treated,estimate; exactly one row per cluster)."""
-    header, rows = _read_rows(path)
+    header, rows, linenos = _read_rows(path)
     if tuple(header) != _EST_HEADER:
         raise InputFormatError(
             f"header must be {','.join(_EST_HEADER)}; got {','.join(header)}")
     seen: dict[str, tuple[int, float]] = {}
     order: list[str] = []
-    for lineno, row in rows:
+    for lineno, row in zip(linenos, rows):
         cid = row[0].strip()
         if cid in seen:
             raise InputFormatError(

@@ -8,7 +8,7 @@ Array contract: a collection of m assignments is one (m, q1) integer
 array whose rows hold 0-based, strictly increasing treated indices in
 [0, q), with the identity arange(q1) in row 0.  Rows may repeat (a
 sample is drawn with replacement).  `check_assignments` enforces the
-contract; `assignment_blocks` yields the full collection in
+contract; `enumerate_assignments` lists the full collection in
 lexicographic order, identity first; `count_at_or_above` is the test's
 tie rule on an explicit collection.  `SubsetSums` counts and selects
 over the full collection of one data vector without listing it.
@@ -24,14 +24,12 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError, ContractError, DomainError, ShapeError
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
-_BLOCK_ROWS = 1 << 18  # assignments per enumeration block
 _SAMPLE_ROWS = 1 << 14  # draws per sampling block
 _COUNT_ROWS = 1 << 16  # left sums per split-sum counting chunk
 _PROBE_SAMPLE = 1 << 12  # sums sampled to place a selection probe
@@ -114,21 +112,27 @@ def _as_generator(rng) -> np.random.Generator:
     raise DomainError(f"rng must be an RngStream or numpy Generator, got {rng!r}")
 
 
-def assignment_blocks(design: Design) -> Iterator[np.ndarray]:
-    """All C(q, q1) assignments in lexicographic order, identity first,
-    as consecutive (k, q1) index blocks, so a caller never has to hold
-    the whole collection at once."""
+def enumerate_assignments(design: Design) -> np.ndarray:
+    """All C(q, q1) assignments as one (N, q1) intp array in lexicographic
+    order, identity first.  Level r lists the r-subsets of [q1 - r, q): per
+    first index f, f before the (r - 1)-subsets of [f + 1, q), which end
+    level r - 1.  The levels hold N * (q + 1) / (q0 + 1) rows in all."""
     n = design.n_assignments
     if n > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
             f"full enumeration needs {n} assignments, above the cap of "
             f"{DEFAULT_ENUMERATION_CAP}; pass sampled assignments instead")
-    combos = itertools.combinations(range(design.q), design.q1)
-
-    def blocks():
-        while chunk := list(itertools.islice(combos, _BLOCK_ROWS)):
-            yield np.asarray(chunk, dtype=np.intp)
-    return blocks()
+    q, q1 = design.q, design.q1
+    rows = np.arange(q1 - 1, q, dtype=np.intp)[:, None]
+    for r in range(2, q1 + 1):
+        firsts = np.arange(q1 - r, q - r + 1)
+        sizes = [math.comb(q - f - 1, r - 1) for f in firsts.tolist()]
+        level = np.empty((sum(sizes), r), dtype=np.intp)
+        level[:, 0] = np.repeat(firsts, sizes)
+        for size, end in zip(sizes, itertools.accumulate(sizes)):
+            level[end - size:end, 1:] = rows[-size:]
+        rows = level
+    return rows
 
 
 def check_assignments(design: Design, assignments) -> np.ndarray:
@@ -354,7 +358,7 @@ def weight_matrix(design: Design, assignments=None) -> np.ndarray:
             raise CapacityError(
                 f"weight matrix would hold {n * design.q} entries, above the "
                 f"cap of {DEFAULT_ENUMERATION_CAP}")
-        idx = np.concatenate(list(assignment_blocks(design)))
+        idx = enumerate_assignments(design)
     else:
         idx = check_assignments(design, assignments)
     w = np.full((design.q, len(idx)), -1.0 / design.q0)

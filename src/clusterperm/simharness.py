@@ -217,23 +217,27 @@ def _fmt(v) -> str:
 def parse_key_value_file(path) -> dict[str, str]:
     """Flat key=value config file: one pair per line, '#' comments and
     blank lines ignored."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputFormatError(
-                    f"line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise InputFormatError(f"line {lineno}: empty key")
-            if key in out:
-                raise InputFormatError(f"line {lineno}: duplicate key "
-                                       f"{key!r}")
-            out[key] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputFormatError(
+                f"line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise InputFormatError(f"line {lineno}: empty key")
+        if key in out:
+            raise InputFormatError(f"line {lineno}: duplicate key "
+                                   f"{key!r}")
+        out[key] = value.strip()
     return out
 
 

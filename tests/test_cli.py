@@ -505,6 +505,39 @@ class TestDispatch:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_undecodable_input_exits_two_in_c_locale(self, tmp_path,
+                                                     command):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"cluster_id,treated,estimate\n"
+                         b"c\xff,1,0.5\nc2,0,0.25\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# r\xe9plications\nreplications=5\n")
+        argv = {"test": ["--input", str(data), "--mode", "estimates",
+                         "--alpha", "0.05"],
+                "simulate": ["--study", "normal", "--config", str(cfg),
+                             "--out", str(tmp_path / "x.csv")]}[command]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C")
+        env.pop("PYTHONUTF8", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "clusterperm", command, *argv], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        error = json.loads(done.stderr)["error"]
+        assert error["type"] == "InputFormatError"
+        target = data if command == "test" else cfg
+        assert error["message"].startswith(f"{target}: not UTF-8 text")
+
+    def test_bom_config_parses_like_its_twin(self, tmp_path):
+        text = "# study\nq1=5\nreplications=10\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(text.encode("utf-8-sig"))
+        assert (simharness.parse_key_value_file(bom)
+                == simharness.parse_key_value_file(plain)
+                == {"q1": "5", "replications": "10"})
+
     def test_runs_as_module(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,13 +1,17 @@
 """Tests for per-cluster estimation and CSV ingestion."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import fsolve
 from scipy.stats import norm
 
 from clusterperm.errors import (
+    ClusterPermError,
     ContractError,
     DegenerateDataError,
     DomainError,
@@ -19,6 +23,8 @@ from clusterperm.errors import (
 from clusterperm.estimators import (
     ClusterDataset,
     EstimatorSpec,
+    _parse_binary,
+    _parse_float,
     binary_choice_cluster_estimates,
     ingest_csv,
     load_estimates,
@@ -102,7 +108,7 @@ class TestClusterDataset:
     def test_two_cluster_toy(self):
         ds = ClusterDataset(["u", "v"], [1, 0], [3.0, 7.0])
         assert (ds.design.q1, ds.design.q0) == (1, 1)
-        assert ds.n_rows == 2
+        assert [ds.cluster_rows(k)[0].size for k in range(2)] == [1, 1]
         assert not ds.has_post
         assert ds.n_covariates == 0
 
@@ -140,8 +146,8 @@ class TestClusterDataset:
 
 class TestEstimatorSpec:
     def test_valid_specs(self):
-        assert EstimatorSpec("intercept").target_coordinate == 0
-        assert EstimatorSpec("did-slope").target_coordinate == 0
+        assert EstimatorSpec("intercept").link is None
+        assert EstimatorSpec("did-slope").link is None
         assert EstimatorSpec("binary-choice", link="probit").link == "probit"
 
     @pytest.mark.parametrize("kwargs", [
@@ -335,7 +341,7 @@ class TestIngestCsv:
                            "u,1,3.0\nu,1,5.0\nv,0,7.0\n")
         ds = ingest_csv(path)
         assert ds.cluster_ids == ("u", "v")
-        assert ds.n_rows == 3
+        assert [ds.cluster_rows(k)[0].size for k in range(2)] == [2, 1]
         assert not ds.has_post
         np.testing.assert_array_equal(ds.cluster_rows(0)[0], [3.0, 5.0])
 
@@ -440,6 +446,238 @@ class TestLoadEstimates:
         path = tmp_path / "est.csv"
         path.write_text("cluster_id,treated,estimate\nc1,1,1.5\nc2,1,2.5\n")
         with pytest.raises(InputFormatError):
+            load_estimates(path)
+
+
+def _row_loop_ingest(path):
+    """Oracle: the row-by-row reader and per-cell parse that ingest_csv
+    replaced (blank records skipped, row numbers = record index + 2)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputFormatError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise InputFormatError(
+                    f"row {lineno}: expected {len(header)} fields, "
+                    f"got {len(row)}")
+            rows.append((lineno, row))
+    if not rows:
+        raise InputFormatError(f"{path}: no data rows")
+    if tuple(header[:3]) != ("cluster_id", "treated", "outcome"):
+        raise InputFormatError(
+            "header must start with cluster_id,treated,outcome; got "
+            f"{','.join(header[:3])}")
+    rest = header[3:]
+    has_post = bool(rest) and rest[0] == "post"
+    cov_names = rest[1:] if has_post else rest
+    ids, treated, outcome, post, covs = [], [], [], [], []
+    for lineno, row in rows:
+        ids.append(row[0].strip())
+        treated.append(_parse_binary(row[1], "treated", lineno))
+        outcome.append(_parse_float(row[2], "outcome", lineno))
+        base = 3
+        if has_post:
+            post.append(_parse_binary(row[3], "post", lineno))
+            base = 4
+        covs.append([_parse_float(row[base + i], cov_names[i], lineno)
+                     for i in range(len(cov_names))])
+    return ClusterDataset(
+        ids, treated, outcome,
+        covariates=np.asarray(covs, dtype=float).reshape(len(ids),
+                                                         len(cov_names)),
+        post=post if has_post else None)
+
+
+def _outcome_of(fn, path):
+    """What fn(path) gives, as comparable bytes, or its error."""
+    try:
+        ds = fn(path)
+    except ClusterPermError as exc:
+        return type(exc).__name__, str(exc)
+    blocks = [tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                    for a in ds.cluster_rows(k))
+              for k in range(ds.design.q)]
+    return ds.cluster_ids, ds.design, ds.has_post, ds.n_covariates, blocks
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False,
+              width=32).map(lambda v: f"{v:.6e}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1e5", "-2.5E-3", "+1.5", "-0", "+0.0", ".5", "5.",
+                     "1_0", "1_000.5", "4.9e-324", "1e-320"]),
+)
+_NON_FINITE = ["inf", "-Infinity", "nan", "NaN", "1e400"]
+_NOT_NUMBERS = ["oops", "", " ", "1,5", "--1", "1e", "0x10", "1__0"]
+_NOT_BINARY = ["2", "yes", "", "1.0", "-1"]
+_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _observations_text(draw):
+    """An observations CSV; half the examples are clean, the others carry
+    bad cells, non-finite values and flag flips at random rows."""
+    q = draw(st.integers(2, 5))
+    flags = draw(st.lists(st.integers(0, 1), min_size=q, max_size=q)
+                 .filter(lambda f: 0 < sum(f) < len(f)))
+    has_post = draw(st.booleans())
+    ncov = draw(st.integers(0, 3))
+    faulty = draw(st.booleans())
+
+    def fault():
+        return faulty and draw(st.integers(0, 24)) == 0
+
+    def number():
+        if fault():
+            return draw(st.sampled_from(_NOT_NUMBERS + _NON_FINITE))
+        return draw(_SPACES) + draw(_FINITE) + draw(_SPACES)
+
+    def binary(value):
+        if fault():
+            return draw(st.sampled_from(_NOT_BINARY))
+        return draw(_SPACES) + str(value) + draw(_SPACES)
+
+    header = ["cluster_id", "treated", "outcome"]
+    header += ["post"] if has_post else []
+    header += [f"x{j}" for j in range(ncov)]
+    lines = [",".join(header)]
+    # every cluster appears; the rest of the rows interleave at random
+    clusters = list(range(q)) + draw(
+        st.lists(st.integers(0, q - 1), max_size=10))
+    for k in draw(st.permutations(clusters)):
+        if draw(st.integers(0, 9)) == 0:  # a blank record, skipped
+            lines.append(",".join(draw(_SPACES) for _ in range(
+                draw(st.sampled_from([1, len(header)])))))
+        flag = 1 - flags[k] if fault() else flags[k]
+        cells = [draw(_SPACES) + f"c{k}", binary(flag), number()]
+        if has_post:
+            cells.append(binary(draw(st.integers(0, 1))))
+        cells += [number() for _ in range(ncov)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnIngestion:
+    """ingest_csv parses per column; the row loop it replaced is the
+    oracle for values, grouping and error messages."""
+
+    @given(text=_observations_text())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_loop_bit_for_bit(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text(text)
+        assert _outcome_of(ingest_csv, path) == _outcome_of(
+            _row_loop_ingest, path)
+
+    def test_float_strings_parse_like_float(self, tmp_path):
+        cells = ["0.1", " -2.5E-3", "+1.5 ", "-0", "1_0", "1e-320",
+                 "\t4.9e-324", repr(1 / 3), "1e308", "5."]
+        path = tmp_path / "data.csv"
+        path.write_text("cluster_id,treated,outcome,x\n" + "".join(
+            f"{'ab'[i % 2]},{i % 2},{c},{c}\n" for i, c in enumerate(cells)))
+        ds = ingest_csv(path)
+        want = [float(c) for c in cells]
+        y1, x1, _ = ds.cluster_rows(0)
+        y0, x0, _ = ds.cluster_rows(1)
+        assert y1.tobytes() == np.array(want[1::2]).tobytes()
+        assert y0.tobytes() == np.array(want[0::2]).tobytes()
+        assert x1[:, 0].tobytes() == y1.tobytes()
+        assert x0[:, 0].tobytes() == y0.tobytes()
+
+    def test_interleaved_shuffled_ids_keep_orders(self, tmp_path):
+        rng = np.random.default_rng(7)
+        q, per = 9, 6
+        flags = [1, 0, 0, 1, 0, 1, 1, 0, 0]
+        labels = rng.permutation([f"k{k}" for k in range(q)]).tolist()
+        order = rng.permutation(np.repeat(np.arange(q), per)).tolist()
+        lines = ["cluster_id,treated,outcome"]
+        for i, k in enumerate(order):
+            lines.append(f"{labels[k]},{flags[k]},{i}")
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        ds = ingest_csv(path)
+        seen = list(dict.fromkeys(order))
+        want = ([labels[k] for k in seen if flags[k]]
+                + [labels[k] for k in seen if not flags[k]])
+        assert ds.cluster_ids == tuple(want)
+        assert (ds.design.q1, ds.design.q0) == (4, 5)
+        for pos, cid in enumerate(ds.cluster_ids):
+            k = labels.index(cid)
+            rows = [float(i) for i, kk in enumerate(order) if kk == k]
+            assert ds.cluster_rows(pos)[0].tolist() == rows
+
+    def test_bad_outcome_before_bad_flag(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("cluster_id,treated,outcome\n"
+                        "a,1,1.0\nb,0,oops\nc,maybe,2.0\n")
+        with pytest.raises(InputFormatError) as info:
+            ingest_csv(path)
+        assert str(info.value) == ("row 3: non-numeric value 'oops' in "
+                                   "column 'outcome'")
+
+    def test_bad_covariate_before_bad_flag(self, tmp_path):
+        # a column-major scan would meet the treated column first
+        path = tmp_path / "data.csv"
+        path.write_text("cluster_id,treated,outcome,x1\n"
+                        "a,1,1.0,0.5\nb,0,2.0,n/a\nc,2,3.0,0.25\n")
+        with pytest.raises(InputFormatError) as info:
+            ingest_csv(path)
+        assert str(info.value) == ("row 3: non-numeric value 'n/a' in "
+                                   "column 'x1'")
+
+    def test_parse_error_beats_flag_flip(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("cluster_id,treated,outcome\n"
+                        "a,1,1.0\na,0,2.0\nb,0,oops\n")
+        with pytest.raises(InputFormatError, match="row 4: non-numeric"):
+            ingest_csv(path)
+
+    def test_blank_record_of_full_width_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("cluster_id,treated,outcome\n"
+                        "a,1,1.0\n , ,\t\nb,0,2.0\n")
+        ds = ingest_csv(path)
+        assert ds.cluster_ids == ("a", "b")
+        assert [ds.cluster_rows(k)[0].tolist() for k in range(2)] == [
+            [1.0], [2.0]]
+
+    def test_row_numbers_count_blank_records(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("cluster_id,treated,outcome\n"
+                        "a,1,1.0\n\n , ,\nb,0,x\n")
+        with pytest.raises(InputFormatError, match="row 5: non-numeric"):
+            ingest_csv(path)
+
+
+class TestEncoding:
+    TEXT = "cluster_id,treated,outcome\nu,1,3.0\nu,1,5.0\nv,0,7.0\n"
+
+    def test_bom_parses_like_its_twin(self, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(self.TEXT.encode())
+        bom.write_bytes(self.TEXT.encode("utf-8-sig"))
+        assert _outcome_of(ingest_csv, bom) == _outcome_of(ingest_csv, plain)
+        est = "cluster_id,treated,estimate\nc1,0,1.5\nc2,1,2.5\n"
+        plain.write_bytes(est.encode())
+        bom.write_bytes(est.encode("utf-8-sig"))
+        a, b = load_estimates(plain), load_estimates(bom)
+        assert a.cluster_ids == b.cluster_ids == ("c2", "c1")
+        assert a.values.tobytes() == b.values.tobytes()
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.TEXT.encode().replace(b"v,0", b"\xff,0"))
+        with pytest.raises(InputFormatError, match="bad.csv: not UTF-8"):
+            ingest_csv(path)
+        with pytest.raises(InputFormatError, match="bad.csv: not UTF-8"):
             load_estimates(path)
 
 

@@ -19,7 +19,7 @@ from clusterperm.errors import CapacityError, ContractError, DomainError, ShapeE
 from clusterperm.permkit import (
     Design,
     RngStream,
-    assignment_blocks,
+    enumerate_assignments,
     check_assignments,
     count_at_or_above,
     relabeling_counts,
@@ -32,10 +32,6 @@ from clusterperm.permtest import AlphaEntry, ClusterEstimates, adjusted_test, p_
 def _all_assignments(design: Design) -> np.ndarray:
     """Oracle: the full collection, lexicographic, from itertools."""
     return np.array(list(itertools.combinations(range(design.q), design.q1)))
-
-
-def _enumerated(design: Design) -> np.ndarray:
-    return np.concatenate(list(assignment_blocks(design)))
 
 
 def _relabeled_variance(w: np.ndarray, sigmas) -> np.ndarray:
@@ -122,16 +118,16 @@ class TestArrayContract:
 
 class TestEnumeration:
     def test_one_one(self):
-        assert _enumerated(Design(1, 1)).tolist() == [[0], [1]]
+        assert enumerate_assignments(Design(1, 1)).tolist() == [[0], [1]]
 
     def test_two_one(self):
-        assert _enumerated(Design(2, 1)).tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert enumerate_assignments(Design(2, 1)).tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_four_four_count(self):
-        assert len(_enumerated(Design(4, 4))) == 70
+        assert len(enumerate_assignments(Design(4, 4))) == 70
 
     def test_identity_first_lexicographic(self):
-        out = _enumerated(Design(3, 3))
+        out = enumerate_assignments(Design(3, 3))
         assert out[0].tolist() == [0, 1, 2]
         rows = [tuple(r) for r in out.tolist()]
         assert rows == sorted(rows)
@@ -140,15 +136,23 @@ class TestEnumeration:
                                        for q0 in range(1, 7)])
     def test_exhaustive_no_duplicates(self, q1, q0):
         d = Design(q1, q0)
-        out = _enumerated(d)
+        out = enumerate_assignments(d)
         assert np.array_equal(out, _all_assignments(d))
         assert len({tuple(r) for r in out.tolist()}) == d.n_assignments
         check_assignments(d, out)  # meets the array contract
 
+    def test_every_design_up_to_q14(self):
+        for q in range(2, 15):
+            for q1 in range(1, q):
+                d = Design(q1, q - q1)
+                out = enumerate_assignments(d)
+                assert out.dtype == np.intp
+                assert np.array_equal(out, _all_assignments(d)), (q1, q - q1)
+
     def test_cap(self):
         # C(26, 13) = 10,400,600 is above the 10M enumeration cap
         with pytest.raises(CapacityError):
-            assignment_blocks(Design(13, 13))
+            enumerate_assignments(Design(13, 13))
 
 
 # ===========================================================================

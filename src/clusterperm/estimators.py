@@ -321,6 +321,8 @@ def _read_rows(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
             records = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
     finally:
         if collecting:
             gc.enable()

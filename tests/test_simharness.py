@@ -292,6 +292,20 @@ class TestParseKeyValueFile:
         with pytest.raises(InputFormatError, match="line 1"):
             parse_key_value_file(p)
 
+    def test_bom_parses_like_its_twin(self, tmp_path):
+        text = "# study\nq1=5\nreplications=10\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(text.encode("utf-8-sig"))
+        assert parse_key_value_file(bom) == parse_key_value_file(plain) == {
+            "q1": "5", "replications": "10"}
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"q1=5\nnote=\xff\n")
+        with pytest.raises(InputFormatError, match="bad.cfg: not UTF-8"):
+            parse_key_value_file(p)
+
 
 class TestConfigFromMapping:
     def test_normal_mapping_coerces_types(self):

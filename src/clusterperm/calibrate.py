@@ -82,9 +82,9 @@ class CalibrationParams:
             v = getattr(self, name)
             if not (v > 0) or not math.isfinite(v):
                 raise DomainError(f"{name} must be a positive real, got {v!r}")
-        if not (self.tolerance_eta >= 0):
-            raise DomainError(
-                f"tolerance_eta must be nonnegative, got {self.tolerance_eta}")
+        if not (0 <= self.tolerance_eta < math.inf):
+            raise DomainError(f"tolerance_eta must be finite and "
+                              f"nonnegative, got {self.tolerance_eta}")
         if isinstance(self.seed, bool) or int(self.seed) != self.seed \
                 or not (0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit integer, got {self.seed!r}")

@@ -158,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bound(ns):
     value = size_bound(ns.q1, ns.q0)
+    if not (0.0 < ns.alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0,1), got {ns.alpha}")
     payload = {"command": "bound", "q1": ns.q1, "q0": ns.q0,
                "alpha": ns.alpha, "size_bound": value,
                "exceeds_alpha": value > ns.alpha}

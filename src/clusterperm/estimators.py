@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     ContractError,
@@ -174,6 +172,8 @@ class EstimatorSpec:
 
 
 def _ols_coefficients(xd: np.ndarray, y: np.ndarray, cid: str) -> np.ndarray:
+    from scipy.linalg import qr, solve_triangular
+
     n, d = xd.shape
     if n < d:
         raise DegenerateDataError(
@@ -226,6 +226,8 @@ def _link_functions(link: str):
         def inverse(p):
             return math.log(p / (1.0 - p))
     else:
+        from scipy.special import ndtr, ndtri
+
         def cdf(eta):
             return ndtr(eta)
 

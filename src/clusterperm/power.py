@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import log_ndtr
 
 from .errors import DomainError, NumericalError, ShapeError
 
@@ -75,6 +73,9 @@ def power_lower_bound(spec: PowerSpec) -> float:
     around 0 and delta.  Non-convergence raises NumericalError carrying
     the partial value.
     """
+    from scipy.integrate import quad
+    from scipy.special import log_ndtr
+
     s_c = np.array(spec.sigmas_control)
     s_t = np.array(spec.sigmas_treated)
     delta = spec.delta

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.special import stdtr, stdtrit
 
 from .errors import (
     ContractError,
@@ -107,6 +105,8 @@ def _assemble(data: Mapping[str, object], spec: PooledRegressionSpec):
     """The arguments of pooled_t for one data table: rows sorted by
     cluster (stable), the cluster start rows, the target column and the
     sandwich adjustment.  Raises on a rank-deficient design."""
+    from scipy.linalg import qr
+
     y = _column(data, spec.outcome, None).astype(float)
     n = y.size
     if n == 0:
@@ -212,6 +212,8 @@ def cluster_robust_ols(data: Mapping[str, object],
 
 def _t_reference_outcome(statistic: float, df: int, alpha: float, side: str,
                          method: str, extra: dict) -> TestOutcome:
+    from scipy.special import stdtr, stdtrit
+
     p_left = float(stdtr(df, statistic))
     p_right = 1.0 - p_left
     p_two = 2.0 * min(p_right, p_left)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import ContractError, DomainError, InputFormatError
 from .permkit import Design, RngStream, relabeling_counts
@@ -88,8 +87,10 @@ class NormalLocationConfig:
         if not (isinstance(self.h, int) and 0 <= self.h <= q):
             raise DomainError(f"h must be an integer in [0, {q}], "
                               f"got {self.h}")
-        if not (self.sigma_low > 0 and self.sigma_high > 0):
-            raise DomainError("sigma_low and sigma_high must be positive")
+        if not (0 < self.sigma_low < math.inf
+                and 0 < self.sigma_high < math.inf):
+            raise DomainError(
+                "sigma_low and sigma_high must be finite and positive")
 
     def sigmas(self) -> np.ndarray:
         q = self.q1 + self.q0
@@ -148,8 +149,10 @@ class DidConfig:
         q = self.q1 + self.q0
         if not self.h_grid or not all(0 <= h <= q for h in self.h_grid):
             raise DomainError(f"h_grid entries must lie in [0, {q}]")
-        if not (self.sigma_low > 0 and self.sigma_high > 0):
-            raise DomainError("sigma_low and sigma_high must be positive")
+        if not (0 < self.sigma_low < math.inf
+                and 0 < self.sigma_high < math.inf):
+            raise DomainError(
+                "sigma_low and sigma_high must be finite and positive")
         for name in ("theta0", "beta1", "beta2", "beta3", "zeta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
@@ -280,6 +283,8 @@ def did_config_from_mapping(mapping) -> DidConfig:
 # ---------------------------------------------------------------------------
 
 def _normal_block(cfg: NormalLocationConfig, lo: int, hi: int):
+    from scipy.special import stdtrit
+
     design = Design(cfg.q1, cfg.q0)
     q = design.q
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
@@ -348,6 +353,8 @@ POOLED_COLUMNS = ("intercept", "post", "post_x_treated", "x1", "x2", "x3")
 
 
 def _did_block(cfg: DidConfig, lo: int, hi: int):
+    from scipy.special import stdtrit
+
     q, t, i_t, d_k, itd = _did_layout(cfg)
     n_rep = hi - lo
     b_boot = cfg.bootstrap_B

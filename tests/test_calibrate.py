@@ -56,6 +56,7 @@ class TestCalibrationParams:
         {"top_fraction": 1.5}, {"beta_a": 0.0}, {"beta_b": -0.1},
         {"tolerance_eta": -1e-9}, {"epsilon": 0.0}, {"m": 0},
         {"seed": -1}, {"seed": 2**64}, {"enumeration_threshold": 0},
+        {"tolerance_eta": math.inf}, {"tolerance_eta": math.nan},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):

@@ -5,16 +5,20 @@ capsys and exit codes come from the return value.  One test starts
 `python -m clusterperm` in a subprocess.
 """
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterperm import cli, simharness
 from clusterperm.calibrate import CalibrationParams, calibrate_exhaustive
@@ -22,7 +26,12 @@ from clusterperm.cli import dispatch
 from clusterperm.errors import DegeneracyWarning
 from clusterperm.estimators import ingest_csv
 from clusterperm.permkit import Design, RngStream
-from clusterperm.permtest import adjusted_test, size_bound
+from clusterperm.permtest import (
+    adjusted_test,
+    adjustment_level,
+    lookup_bar_alpha,
+    size_bound,
+)
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +72,16 @@ class TestBoundCommand:
         header, record = out.strip().splitlines()
         assert header.split(",")[:3] == ["command", "q1", "q0"]
         assert record.split(",")[0] == "bound"
+
+    @pytest.mark.parametrize("alpha", ["nan", "-1"])
+    def test_alpha_outside_unit_interval_exits_two(self, capsys, alpha):
+        code, out, err = run_cli(capsys, "bound", "--q1", "4", "--q0", "4",
+                                 "--alpha", alpha, "--json")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"] == (f"alpha must lie in (0,1), "
+                                    f"got {float(alpha)}")
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--q1", "4")
@@ -153,6 +172,18 @@ class TestAlphaCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError"
         assert "abc" in error["message"]
+
+    def test_infinite_tolerance_eta_exits_two(self, capsys):
+        # alpha + eta = inf once let every level pass: bar_alpha near 1
+        code, out, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                                 "--alpha", "0.1", "--calibrate",
+                                 "exhaustive", "--param", "R=50", "--param",
+                                 "S1=50", "--param", "S2=100", "--param",
+                                 "tolerance_eta=inf", "--seed", "1")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "tolerance_eta" in error["message"]
 
     def test_unknown_calibration_parameter(self, capsys):
         code, _, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
@@ -469,6 +500,20 @@ class TestSimulateCommand:
         assert error["type"] == "DomainError"
         assert "abc" in error["message"]
 
+    @pytest.mark.parametrize("study", ["normal", "did"])
+    def test_infinite_sigma_exits_two(self, capsys, tmp_path, study):
+        # an infinite sigma made NaN statistics and wrote rates of 0 or 1
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("q1=6\nq0=6\nsigma_high=inf\nreplications=20\n")
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "simulate", "--study", study,
+                                 "--config", str(cfg), "--out",
+                                 str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "sigma_high" in error["message"]
+
     def test_missing_config_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--study", "did",
                                "--config", str(tmp_path / "nope.cfg"),
@@ -538,3 +583,175 @@ class TestDispatch:
             timeout=120)
         assert done.returncode == 0
         assert done.stdout.strip() == "0.0898"
+
+
+# =========================================================================
+# start-up: commands that do no fitting never load scipy
+# =========================================================================
+
+_SCIPY_PROBE = """
+import importlib, json, pkgutil, sys
+import clusterperm
+from clusterperm.cli import dispatch
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+for info in pkgutil.iter_modules(clusterperm.__path__):
+    if info.name != "__main__":
+        importlib.import_module("clusterperm." + info.name)
+report = {"import": [0, scipy_modules()]}
+for name, argv in json.loads(sys.argv[1]).items():
+    report[name] = [dispatch(argv), scipy_modules()]
+print(json.dumps(report))
+"""
+
+
+class TestStartup:
+    def test_commands_without_fitting_leave_out_scipy(self, tmp_path):
+        path = tmp_path / "est.csv"
+        write_estimates_csv(path, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3], q1=5)
+        calibrate = ["--calibrate", "exhaustive", "--seed", "1", "--param",
+                     "R=50", "--param", "S1=50", "--param", "S2=100"]
+        commands = {
+            "bound": ["bound", "--q1", "4", "--q0", "4"],
+            "alpha": ["alpha", "--q1", "4", "--q0", "4", "--alpha", "0.1"],
+            "alpha-calibrate": ["alpha", "--q1", "4", "--q0", "4",
+                                "--alpha", "0.1", *calibrate],
+            "test": ["test", "--input", str(path), "--alpha", "0.05"],
+            "test-sampled": ["test", "--input", str(path), "--alpha",
+                             "0.05", "--sample-m", "100", "--seed", "2"],
+        }
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report == {name: [0, []]
+                          for name in ["import", *commands]}
+
+
+# =========================================================================
+# the test command's contract, as a property
+# =========================================================================
+
+_EXTREMES = ["0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308",
+             "1.7976931348623157e308", "-1.7976931348623157e308", "1e308"]
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(repr),
+    st.decimals(min_value=-100, max_value=100, places=2).map(str),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(_EXTREMES))
+_ON_GRID = ["0.1", "0.10", "0.05", "0.025", "0.01", "0.005"]
+_NOT_NUMBERS = ["abc", "", "1.2.3", "0x10", "--1", "1e"]
+_NOT_FLAGS = ["2", "-1", "yes", "", "1.0", "true"]
+
+
+@st.composite
+def _estimates_rows(draw):
+    """Rows (cluster_id, treated, estimate) of an estimates CSV with
+    q1, q0 <= 8; values repeat from a small pool, so ties are common."""
+    # most draws land on the tabulated designs, 4 <= q1, q0 <= 8
+    group = st.one_of(st.integers(4, 8), st.integers(1, 8))
+    q1, q0 = draw(group), draw(group)
+    pool = draw(st.lists(_CELL, min_size=1, max_size=q1 + q0))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=q1 + q0,
+                          max_size=q1 + q0))
+    flags = draw(st.permutations([1] * q1 + [0] * q0))
+    return [[f"c{i}", str(f), v] for i, (f, v) in enumerate(zip(flags, cells))]
+
+
+def _csv_text(rows) -> str:
+    return "\n".join(["cluster_id,treated,estimate"]
+                     + [",".join(r) for r in rows]) + "\n"
+
+
+def _dispatch_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestTestContract:
+    """Exit codes, strict JSON and exact p-value/decision arithmetic of
+    `test --mode estimates` over generated inputs."""
+
+    @given(rows=_estimates_rows(),
+           side=st.sampled_from(["right", "left", "two-sided"]),
+           alpha=st.one_of(st.sampled_from(_ON_GRID),
+                           st.floats(-0.5, 1.5).map(repr)),
+           sample_m=st.none() | st.integers(1, 300),
+           lam=st.none() | _CELL,
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=500, deadline=None)
+    @pytest.mark.filterwarnings(
+        "ignore::clusterperm.errors.DegeneracyWarning")
+    def test_exit_codes_json_and_decision(self, tmp_path_factory, rows,
+                                          side, alpha, sample_m, lam, seed):
+        path = tmp_path_factory.mktemp("contract") / "est.csv"
+        path.write_text(_csv_text(rows))
+        argv = ["test", "--input", str(path), f"--alpha={alpha}",
+                "--side", side, "--json"]
+        if sample_m is not None:
+            argv += ["--sample-m", str(sample_m), "--seed", str(seed)]
+        if lam is not None:
+            argv += [f"--lambda={lam}"]
+        code, out, err = _dispatch_captured(argv)
+        assert code in (0, 2), err
+        if code == 2:
+            assert out == "" and err.endswith("\n")
+            assert err.count("\n") == 1
+            assert set(_strict_json(err)["error"]) == {"type", "message"}
+            return
+        payload = _strict_json(out)
+        n = payload["n_assignments"]
+        counts = {}
+        for name in ("p_value_right", "p_value_left"):
+            p = payload[name]
+            k = round(p * n)
+            assert k / n == p and 1 <= k <= n, (name, p, n)
+            counts[name] = k
+        assert payload["p_value_two_sided"] == min(
+            1.0, 2.0 * min(payload["p_value_right"],
+                           payload["p_value_left"]))
+        q1, q0 = payload["q1"], payload["q0"]
+        bar = lookup_bar_alpha(
+            q1, q0, adjustment_level(float(alpha), side)).bar_alpha_exact
+        assert payload["bar_alpha"] == float(bar)
+        k = {"right": counts["p_value_right"],
+             "left": counts["p_value_left"],
+             "two-sided": min(counts.values())}[side]
+        want = "reject" if Fraction(k, n) <= bar else "retain"
+        assert payload["decision"] == want
+
+    @given(rows=_estimates_rows(), data=st.data(),
+           mutation=st.sampled_from(
+               ["missing-field", "non-numeric", "bad-flag", "empty"]))
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_csv_is_an_input_error(self, tmp_path_factory, rows,
+                                           data, mutation):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if mutation == "missing-field":
+            del rows[i][data.draw(st.integers(0, 2))]
+        elif mutation == "non-numeric":
+            rows[i][2] = data.draw(st.sampled_from(_NOT_NUMBERS))
+        elif mutation == "bad-flag":
+            rows[i][1] = data.draw(st.sampled_from(_NOT_FLAGS))
+        text = "" if mutation == "empty" else _csv_text(rows)
+        path = tmp_path_factory.mktemp("mutated") / "est.csv"
+        path.write_text(text)
+        code, out, err = _dispatch_captured(
+            ["test", "--input", str(path), "--alpha", "0.05", "--json"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert _strict_json(err)["error"]["type"] == "InputFormatError"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterperm import cli, simharness
@@ -664,6 +664,12 @@ def _estimates_rows(draw):
     return [[f"c{i}", str(f), v] for i, (f, v) in enumerate(zip(flags, cells))]
 
 
+def _separated_rows(q1, q0, sign=1):
+    """Every treated estimate above (sign -1: below) every control one."""
+    return [[f"c{i}", str(int(i < q1)), str(sign * (q1 + q0 - i))]
+            for i in range(q1 + q0)]
+
+
 def _csv_text(rows) -> str:
     return "\n".join(["cluster_id,treated,estimate"]
                      + [",".join(r) for r in rows]) + "\n"
@@ -694,6 +700,20 @@ class TestTestContract:
            lam=st.none() | _CELL,
            seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=500, deadline=None)
+    # p equals bar_alpha exactly: the starred 8+8 cell (bar_alpha = 1/N)
+    # on both sides, and 50 sampled relabelings at bar_alpha = 0.02
+    @example(rows=_separated_rows(8, 8), side="right", alpha="0.005",
+             sample_m=None, lam=None, seed=0)
+    @example(rows=_separated_rows(8, 8, sign=-1), side="left",
+             alpha="0.005", sample_m=None, lam=None, seed=0)
+    @example(rows=_separated_rows(6, 7), side="two-sided", alpha="0.1",
+             sample_m=49, lam=None, seed=0)
+    # finite inputs whose subset sums overflow, before and after the shift
+    @example(rows=_separated_rows(4, 4), side="right", alpha="0.1",
+             sample_m=None, lam="1e308", seed=0)
+    @example(rows=[[f"c{i}", str(int(i < 4)), ("1e308", "-1e308")[i % 2]]
+                   for i in range(8)],
+             side="right", alpha="0.1", sample_m=20, lam=None, seed=1)
     @pytest.mark.filterwarnings(
         "ignore::clusterperm.errors.DegeneracyWarning")
     def test_exit_codes_json_and_decision(self, tmp_path_factory, rows,

@@ -586,7 +586,7 @@ class TestDispatch:
 
 
 # =========================================================================
-# start-up: commands that do no fitting never load scipy
+# start-up: commands without scipy arithmetic never load scipy
 # =========================================================================
 
 _SCIPY_PROBE = """
@@ -608,9 +608,13 @@ print(json.dumps(report))
 
 
 class TestStartup:
-    def test_commands_without_fitting_leave_out_scipy(self, tmp_path):
+    def test_commands_without_scipy_arithmetic_leave_it_out(self, tmp_path):
         path = tmp_path / "est.csv"
         write_estimates_csv(path, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3], q1=5)
+        binary = tmp_path / "binary.csv"
+        binary.write_text("cluster_id,treated,outcome\n" + "".join(
+            f"k{k},{int(k < 4)},{y}\n"
+            for k in range(8) for y in (0, 1, k % 2, 1)))
         calibrate = ["--calibrate", "exhaustive", "--seed", "1", "--param",
                      "R=50", "--param", "S1=50", "--param", "S2=100"]
         commands = {
@@ -621,6 +625,8 @@ class TestStartup:
             "test": ["test", "--input", str(path), "--alpha", "0.05"],
             "test-sampled": ["test", "--input", str(path), "--alpha",
                              "0.05", "--sample-m", "100", "--seed", "2"],
+            "test-logistic": ["test", "--input", str(binary), "--mode",
+                              "logistic", "--alpha", "0.1"],
         }
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(

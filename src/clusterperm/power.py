@@ -29,6 +29,11 @@ from .errors import DomainError, NumericalError, ShapeError
 _WINDOW_SIGMAS = 10.0
 _BREAK_SIGMAS = (-_WINDOW_SIGMAS, -3.0, 0.0, 3.0, _WINDOW_SIGMAS)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Bounds on |delta| and the sigmas: the window, its breakpoints and the
+# standardized points x / sigma, squared, stay far inside the float64
+# range.
+_MAX_MAGNITUDE = 1e50
+_MIN_SIGMA = 1e-50
 
 
 @dataclass(frozen=True)
@@ -41,15 +46,18 @@ class PowerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", float(self.delta))
-        if not math.isfinite(self.delta):
-            raise DomainError(f"delta must be finite, got {self.delta}")
+        if not abs(self.delta) <= _MAX_MAGNITUDE:
+            raise DomainError(f"delta must be finite and at most "
+                              f"{_MAX_MAGNITUDE:g} in magnitude, got "
+                              f"{self.delta}")
         for name in ("sigmas_treated", "sigmas_control"):
             raw = getattr(self, name)
             sig = tuple(float(s) for s in raw)
             if not sig:
                 raise ShapeError(f"{name} must be nonempty")
-            if any(not math.isfinite(s) or s <= 0 for s in sig):
-                raise DomainError(f"{name} must be strictly positive, got {raw!r}")
+            if not all(_MIN_SIGMA <= s <= _MAX_MAGNITUDE for s in sig):
+                raise DomainError(f"{name} must lie in [{_MIN_SIGMA:g}, "
+                                  f"{_MAX_MAGNITUDE:g}], got {raw!r}")
             object.__setattr__(self, name, sig)
 
     @property

@@ -146,7 +146,9 @@ def pooled_t(x: np.ndarray, y: np.ndarray, starts: np.ndarray, t_idx: int,
     xty = np.vecmat(y, x)
     coef = np.matvec(bread, xty)
     resid = y - np.matvec(x, coef)
-    scores = np.add.reduceat(x * resid[..., None], starts, axis=-2)
+    # one buffer holds the full, then the restricted, score products
+    products = x * resid[..., None]
+    scores = np.add.reduceat(products, starts, axis=-2)
     se = np.sqrt(adj * np.square(np.matvec(scores, a)).sum(axis=-1))
     beta = coef[..., t_idx]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -171,7 +173,8 @@ def pooled_t(x: np.ndarray, y: np.ndarray, starts: np.ndarray, t_idx: int,
         coef_r = np.matvec(np.linalg.inv(gram[..., keep, :][..., keep]),
                            xty[..., keep])
         resid_r = y - np.matvec(x[..., keep], coef_r)
-    r_scores = np.add.reduceat(x * resid_r[..., None], starts, axis=-2)
+    r_scores = np.add.reduceat(
+        np.multiply(x, resid_r[..., None], out=products), starts, axis=-2)
     xa = np.matvec(x, a)
     m = -(np.add.reduceat(xa[..., None] * (x @ bread), starts, axis=-2)
           @ r_scores.mT)
@@ -179,7 +182,8 @@ def pooled_t(x: np.ndarray, y: np.ndarray, starts: np.ndarray, t_idx: int,
     m[..., np.arange(q), np.arange(q)] += np.add.reduceat(xa * resid_r,
                                                           starts, axis=-1)
     coef_star = np.matvec(signs, np.matvec(r_scores, a))
-    var_star = adj * np.square(signs @ m.mT).sum(axis=-1)
+    sign_products = signs @ m.mT
+    var_star = adj * np.square(sign_products, out=sign_products).sum(axis=-1)
     t_star = np.divide(coef_star, np.sqrt(var_star),
                        out=np.zeros_like(coef_star), where=var_star > 0.0)
     return beta, se, t, t_star

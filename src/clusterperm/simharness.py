@@ -14,9 +14,17 @@ Draw order per replication:
   factors and effect shifts are applied outside the generator, so every
   (h, delta) grid cell reuses the same underlying randomness.
 
-Each block of replications is decided at once.  The permutation arm
-counts relabelings with permkit.relabeling_counts, through the weight
-matrix or, above its cap, by split subset sums; the rivals come from the
+Replications are scheduled in blocks of _BLOCK, which run in one process
+or are spread over a worker pool; counts add up and data checksums XOR
+together across blocks.  A normal-study block is decided at once.  A
+DiD block is decided in sub-blocks whose size keeps the largest
+per-replication intermediate, the bootstrap sign products of
+|delta_grid| * bootstrap_B * q doubles, within _DID_BYTES, so a worker's
+peak memory stays bounded whatever bootstrap_B, the grids and _BLOCK
+are.  Every replication draws from its own stream, so neither the block
+nor the sub-block size changes a result.  The permutation arm counts
+relabelings with permkit.relabeling_counts, through the weight matrix
+or, above its cap, by split subset sums; the rivals come from the
 batched kernels in rivals (group_t, pooled_t, bootstrap_p_values), the
 same functions the single-dataset tests call.  This module holds the
 draws, the per-cluster fits of the DiD panel, the block scheduling and
@@ -27,7 +35,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -38,7 +45,12 @@ from .permkit import Design, RngStream, relabeling_counts
 from .permtest import lookup_bar_alpha
 from .rivals import bootstrap_p_values, dof_adjustment, group_t, pooled_t
 
-_BLOCK = 256
+_BLOCK = 256  # replications per scheduled block
+_DID_BYTES = 1 << 22  # bytes of the largest intermediate per DiD sub-block
+# Largest magnitude of a study's locations, scales, slopes and effects: a
+# draw times a product of two of them, squared and summed over a panel,
+# stays far inside the float64 range.
+_MAX_MAGNITUDE = 1e50
 _METHODS_NORMAL = ("adjusted-permutation", "group-t")
 _METHODS_DID = ("adjusted-permutation", "group-t", "pooled-cluster-t",
                 "wild-cluster-bootstrap")
@@ -54,6 +66,15 @@ def _check_common(q1, q0, alpha, replications, seed):
         raise DomainError("replications must be a positive integer")
     if not isinstance(seed, int):
         raise DomainError("seed must be an integer")
+
+
+def _check_magnitudes(cfg, names):
+    for name in names:
+        values = getattr(cfg, name)
+        for v in values if isinstance(values, tuple) else (values,):
+            if not abs(v) <= _MAX_MAGNITUDE:
+                raise DomainError(f"{name} must be finite and at most "
+                                  f"{_MAX_MAGNITUDE:g} in magnitude, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -78,19 +99,16 @@ class NormalLocationConfig:
                       self.seed)
         object.__setattr__(self, "mu1_grid",
                            tuple(float(m) for m in self.mu1_grid))
-        if not self.mu1_grid or not all(math.isfinite(m)
-                                        for m in self.mu1_grid):
-            raise DomainError("mu1_grid must be a nonempty finite vector")
-        if not math.isfinite(self.mu0):
-            raise DomainError("mu0 must be finite")
+        if not self.mu1_grid:
+            raise DomainError("mu1_grid must be nonempty")
         q = self.q1 + self.q0
         if not (isinstance(self.h, int) and 0 <= self.h <= q):
             raise DomainError(f"h must be an integer in [0, {q}], "
                               f"got {self.h}")
-        if not (0 < self.sigma_low < math.inf
-                and 0 < self.sigma_high < math.inf):
-            raise DomainError(
-                "sigma_low and sigma_high must be finite and positive")
+        _check_magnitudes(self, ("mu0", "mu1_grid", "sigma_low",
+                                 "sigma_high"))
+        if not (self.sigma_low > 0 and self.sigma_high > 0):
+            raise DomainError("sigma_low and sigma_high must be positive")
 
     def sigmas(self) -> np.ndarray:
         q = self.q1 + self.q0
@@ -143,19 +161,16 @@ class DidConfig:
             raise DomainError("burn_in must be a nonnegative integer")
         if not (isinstance(self.bootstrap_B, int) and self.bootstrap_B >= 1):
             raise DomainError("bootstrap_B must be a positive integer")
-        if not self.delta_grid or not all(math.isfinite(d)
-                                          for d in self.delta_grid):
-            raise DomainError("delta_grid must be a nonempty finite vector")
+        if not self.delta_grid:
+            raise DomainError("delta_grid must be nonempty")
         q = self.q1 + self.q0
         if not self.h_grid or not all(0 <= h <= q for h in self.h_grid):
             raise DomainError(f"h_grid entries must lie in [0, {q}]")
-        if not (0 < self.sigma_low < math.inf
-                and 0 < self.sigma_high < math.inf):
-            raise DomainError(
-                "sigma_low and sigma_high must be finite and positive")
-        for name in ("theta0", "beta1", "beta2", "beta3", "zeta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        _check_magnitudes(self, ("delta_grid", "sigma_low", "sigma_high",
+                                 "theta0", "beta1", "beta2", "beta3", "zeta",
+                                 "gamma"))
+        if not (self.sigma_low > 0 and self.sigma_high > 0):
+            raise DomainError("sigma_low and sigma_high must be positive")
 
     def sigmas(self, h: int) -> np.ndarray:
         q = self.q1 + self.q0
@@ -353,6 +368,34 @@ POOLED_COLUMNS = ("intercept", "post", "post_x_treated", "x1", "x2", "x3")
 
 
 def _did_block(cfg: DidConfig, lo: int, hi: int):
+    """Counts and data checksum of replications [lo, hi), decided in
+    sub-blocks of _did_step(cfg) replications."""
+    step = _did_step(cfg)
+    counts = np.zeros((len(cfg.h_grid), len(cfg.delta_grid), 4),
+                      dtype=np.int64)
+    checksum = 0
+    for sub_lo in range(lo, hi, step):
+        c, s = _did_sub_block(cfg, sub_lo, min(sub_lo + step, hi))
+        counts += c
+        checksum ^= s
+    return counts, checksum
+
+
+def _did_step(cfg: DidConfig) -> int:
+    """Replications per DiD sub-block: as many as keep the largest
+    per-replication intermediate within _DID_BYTES, and at least one.
+    That is the bootstrap sign products (|delta_grid| * bootstrap_B * q
+    doubles) unless the AR(1) innovations ((burn_in + T) * q) or the
+    pooled score products (|delta_grid| * q * T * 6) are larger."""
+    q = cfg.q1 + cfg.q0
+    t = cfg.n0 + cfg.n1
+    widest = max(len(cfg.delta_grid)
+                 * max(cfg.bootstrap_B, t * len(POOLED_COLUMNS)),
+                 cfg.burn_in + t)
+    return max(1, _DID_BYTES // (8 * q * widest))
+
+
+def _did_sub_block(cfg: DidConfig, lo: int, hi: int):
     from scipy.special import stdtrit
 
     q, t, i_t, d_k, itd = _did_layout(cfg)
@@ -484,6 +527,8 @@ def _run_blocks(block_fn, cfg, workers, counts_shape):
             counts += c
             checksum ^= s
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(block_fn, cfg, lo, hi)
                        for lo, hi in ranges]

@@ -394,6 +394,17 @@ class TestPowerCommand:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    def test_overflowing_sigma_exits_two(self, capsys):
+        # the quadrature window 10 * 1e308 overflowed; the command printed
+        # 0.316851 with exit 0
+        code, out, err = run_cli(capsys, "power", "--delta", "1",
+                                 "--sigmas-treated", "1e308,1",
+                                 "--sigmas-control", "1,1")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "sigmas_treated" in error["message"]
+
 
 # =========================================================================
 # simulate
@@ -514,6 +525,21 @@ class TestSimulateCommand:
         assert error["type"] == "DomainError"
         assert "sigma_high" in error["message"]
 
+    @pytest.mark.parametrize("study", ["normal", "did"])
+    def test_huge_finite_sigma_exits_two(self, capsys, tmp_path, study):
+        # sigma_high=1e308 overflowed the squared draws after drawing and
+        # wrote meaningless rates with exit 0
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("q1=6\nq0=6\nsigma_high=1e308\nreplications=20\n")
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "simulate", "--study", study,
+                                 "--config", str(cfg), "--out",
+                                 str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "sigma_high" in error["message"]
+
     def test_missing_config_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--study", "did",
                                "--config", str(tmp_path / "nope.cfg"),
@@ -600,7 +626,10 @@ def scipy_modules():
 for info in pkgutil.iter_modules(clusterperm.__path__):
     if info.name != "__main__":
         importlib.import_module("clusterperm." + info.name)
-report = {"import": [0, scipy_modules()]}
+report = {"import": [0, scipy_modules()],
+          "pool": sorted(m for m in sys.modules
+                         if m.partition(".")[0] == "multiprocessing"
+                         or m == "concurrent.futures.process")}
 for name, argv in json.loads(sys.argv[1]).items():
     report[name] = [dispatch(argv), scipy_modules()]
 print(json.dumps(report))
@@ -635,6 +664,7 @@ class TestStartup:
             text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout.splitlines()[-1])
+        assert report.pop("pool") == []
         assert report == {name: [0, []]
                           for name in ["import", *commands]}
 

@@ -50,6 +50,18 @@ class TestPowerSpec:
         with pytest.raises(DomainError):
             PowerSpec(math.inf, (1.0,), (1.0,))
 
+    @pytest.mark.parametrize("delta, treated, control", [
+        (1.0, (1e308, 1.0), (1.0, 1.0)),
+        (1.0, (1.0,), (1.0, 1e51)),
+        (1.0, (1e-51,), (1.0,)),
+        (-1e51, (1.0,), (1.0,)),
+    ])
+    def test_rejects_magnitudes_that_overflow(self, delta, treated, control):
+        # 1e308 overflowed the window 10 * sigma, and sigma ratios past
+        # ~1e153 overflow the squared standardized points
+        with pytest.raises(DomainError):
+            PowerSpec(delta, treated, control)
+
 
 # ===========================================================================
 # the bound itself
@@ -103,6 +115,17 @@ class TestPowerLowerBound:
                                tuple(x * c for x in s.sigmas_treated),
                                tuple(x * c for x in s.sigmas_control))
             assert abs(power_lower_bound(scaled) - base) <= 1e-9
+
+    def test_extremes_of_the_accepted_range_stay_finite(self):
+        # the suite turns overflow warnings into errors
+        for spec in (PowerSpec(1e50, (1e-50, 1e50), (1e50, 1e-50)),
+                     PowerSpec(-1e50, (1e50,), (1e-50, 1e-50)),
+                     PowerSpec(1.0, (1e-50, 1.0), (1e50,))):
+            assert 0.0 <= power_lower_bound(spec) <= 1.0
+        s = PowerSpec(1.3, (0.5, 2.0), (1.0, 0.7, 3.0))
+        scaled = PowerSpec(1.3e45, tuple(x * 1e45 for x in s.sigmas_treated),
+                           tuple(x * 1e45 for x in s.sigmas_control))
+        assert abs(power_lower_bound(scaled) - power_lower_bound(s)) <= 1e-9
 
     def test_monotone_in_delta(self):
         sig_t, sig_c = (1.0, 2.0, 0.5), (1.5, 1.0)

@@ -148,7 +148,8 @@ class TestNormalLocationConfig:
         {"q1": 0}, {"alpha": 0.0}, {"alpha": 1.0}, {"h": 13}, {"h": -1},
         {"mu1_grid": ()}, {"mu1_grid": (math.nan,)}, {"sigma_low": 0.0},
         {"replications": 0}, {"mu0": math.inf}, {"sigma_high": math.inf},
-        {"sigma_low": math.nan},
+        {"sigma_low": math.nan}, {"sigma_high": 1e308}, {"mu0": -1e51},
+        {"mu1_grid": (0.0, 1e60)},
     ])
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DomainError):
@@ -177,6 +178,8 @@ class TestDidConfig:
         {"n0": 0}, {"delta_grid": ()}, {"h_grid": (13,)}, {"h_grid": ()},
         {"theta0": math.nan}, {"gamma": math.inf}, {"sigma_high": -2.0},
         {"sigma_high": math.inf}, {"sigma_low": math.inf},
+        {"sigma_high": 1e308}, {"delta_grid": (0.0, -1e300)},
+        {"beta2": 1e60},
     ])
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DomainError):
@@ -421,6 +424,34 @@ class TestDidStudy:
         two = run_did_study(cfg, workers=2)
         assert one.rows == two.rows
         assert one.metadata["data_checksum"] == two.metadata["data_checksum"]
+
+    def test_sub_block_size_does_not_change_results(self, monkeypatch):
+        cfg = DidConfig(replications=24, h_grid=(1, 5),
+                        delta_grid=(0.0, 2.0), bootstrap_B=49, seed=9)
+        block = sh._did_block(cfg, 3, 21)
+        table = run_did_study(cfg)
+        monkeypatch.setattr(sh, "_DID_BYTES", 1)
+        assert sh._did_step(cfg) == 1
+        counts, checksum = sh._did_block(cfg, 3, 21)
+        assert np.array_equal(counts, block[0]) and checksum == block[1]
+        one = run_did_study(cfg)
+        assert one.rows == table.rows
+        assert one.metadata["data_checksum"] == table.metadata["data_checksum"]
+
+    def test_peak_memory_is_bounded_in_bootstrap_B(self):
+        # one 256-replication block held all sign products at once:
+        # a 468 MB traced peak at these settings
+        import tracemalloc
+
+        cfg = DidConfig(replications=256, bootstrap_B=999, h_grid=(1,),
+                        delta_grid=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
+        tracemalloc.start()
+        try:
+            run_did_study(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_grid_order_does_not_change_cell_rates(self):
         base = DidConfig(replications=200, h_grid=(1, 7),

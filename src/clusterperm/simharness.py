@@ -182,11 +182,12 @@ class DidConfig:
 
 def _ar1(v: np.ndarray, rho: float) -> np.ndarray:
     """AR(1) recursion u_t = rho*u_{t-1} + v_t along axis 1, started at
-    zero."""
-    u = v.copy()
-    for s in range(1, u.shape[1]):
-        u[:, s] += rho * u[:, s - 1]
-    return u
+    zero.  The result is a view whose axis 1 varies slowest in memory,
+    so that each step updates one contiguous slice."""
+    u = np.moveaxis(v, 1, 0).copy()
+    for s in range(1, len(u)):
+        u[s] += rho * u[s - 1]
+    return np.moveaxis(u, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +419,7 @@ def _did_sub_block(cfg: DidConfig, lo: int, hi: int):
         signs[i] = gen.integers(0, 2, size=(b_boot, q)) * 2.0 - 1.0
         for arr in (zv[i], zw[i], zx2[i], zx3[i], signs[i]):
             checksum ^= zlib.crc32(arr.tobytes())
-    u0 = _ar1(zv, cfg.rho)[:, cfg.burn_in:]
+    u0 = np.ascontiguousarray(_ar1(zv, cfg.rho)[:, cfg.burn_in:])
 
     n_pool = q * t
     starts = np.arange(0, n_pool, t)

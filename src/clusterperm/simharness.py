@@ -419,6 +419,7 @@ def _did_sub_block(cfg: DidConfig, lo: int, hi: int):
         signs[i] = gen.integers(0, 2, size=(b_boot, q)) * 2.0 - 1.0
         for arr in (zv[i], zw[i], zx2[i], zx3[i], signs[i]):
             checksum ^= zlib.crc32(arr.tobytes())
+    # C order: the reductions below may sum in a layout-dependent order
     u0 = np.ascontiguousarray(_ar1(zv, cfg.rho)[:, cfg.burn_in:])
 
     n_pool = q * t

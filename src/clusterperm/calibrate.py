@@ -37,7 +37,6 @@ from .errors import (
 from .permkit import (
     Design,
     RngStream,
-    _as_generator,
     positive_int,
     relabeling_counts,
     sample_assignments,
@@ -88,38 +87,6 @@ class CalibrationParams:
         if isinstance(self.seed, bool) or int(self.seed) != self.seed \
                 or not (0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit integer, got {self.seed!r}")
-
-
-def _checked_variances(variances, q: int) -> np.ndarray:
-    v = np.asarray(variances, dtype=float)
-    if v.ndim != 1 or v.size != q:
-        raise ShapeError(f"variances must be a length-{q} vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)) or np.any(v <= 0) or np.any(v > 1):
-        raise DomainError("variances must all lie in (0, 1]")
-    return v
-
-
-def rejection_rate(design: Design, order_index_or_level, variances,
-                   S: int, rng) -> float:
-    """Monte-Carlo probability that the statistic exceeds the chosen
-    order statistic of its fully enumerated permutation distribution,
-    under independent N(0, variances) cluster estimates.
-
-    `order_index_or_level` is either the 1-based order index j itself or
-    a level p in (0,1), mapped to j = ceil((1-p)*n).
-    """
-    v = _checked_variances(variances, design.q)
-    S = positive_int("S", S)
-    n = design.n_assignments
-    if isinstance(order_index_or_level, (int, np.integer)) \
-            and not isinstance(order_index_or_level, bool):
-        j = int(order_index_or_level)
-        if not (1 <= j <= n):
-            raise DomainError(f"order index must lie in [1, {n}], got {j}")
-    else:
-        j = order_index_from_level(order_index_or_level, n)
-    x = _as_generator(rng).standard_normal((S, design.q)) * np.sqrt(v)
-    return int((relabeling_counts(x, design) <= n - j).sum()) / S
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from __future__ import annotations
 import csv
 import gc
 import math
+import os
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
@@ -41,6 +43,7 @@ _LINKS = ("logistic", "probit")
 _RANK_TOL = 1e-10
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
+_SCAN_BYTES = 1 << 18  # bytes per chunk of the comma scan
 
 
 class ClusterDataset:
@@ -348,25 +351,95 @@ def _read_rows(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
     return header, rows, linenos
 
 
-def ingest_csv(path, schema: str = "observations"):
-    """Read a CSV file into a ClusterDataset (schema 'observations':
-    header cluster_id,treated,outcome[,post][,covariates...]) or a
-    ClusterEstimates (schema 'estimates': header
-    cluster_id,treated,estimate, one row per cluster).  Columns are parsed
-    whole by float(); on a failure the rows are rescanned in order, so the
-    error names the first bad cell."""
-    if schema == "estimates":
-        return load_estimates(path)
-    if schema != "observations":
-        raise DomainError(
-            f"schema must be 'observations' or 'estimates', got {schema!r}")
+def _text_columns(header: list[str]) -> tuple[int, ...]:
+    """Indices of the observation columns read as text: cluster_id,
+    treated and, when the fourth column is post, post."""
+    return (0, 1, 3) if len(header) > 3 and header[3] == "post" else (0, 1)
+
+
+def _longest_comma_free_run(path) -> int:
+    """Bytes in the longest run of the file that holds no comma.  Read in
+    chunks that stay in cache: twice as fast as one whole-file pass."""
+    longest = run = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            cuts = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord(","))
+            if cuts.size:
+                # the first gap continues the run carried over
+                gaps = np.diff(cuts, prepend=-run - 1) - 1
+                longest = max(longest, int(gaps.max()))
+                run = len(chunk) - 1 - int(cuts[-1])
+            else:
+                run += len(chunk)
+            longest = max(longest, run)
+    return longest
+
+
+def _tokenized_columns(path):
+    """The observation columns as numpy's tokenizer reads them, in the
+    form of `_csv_columns`, or None unless they provably equal its result.
+
+    With comma delimiters and '"' quotes, numpy splits records and fields
+    as the csv module's excel dialect does, and it reads numbers with
+    PyOS_string_to_double, the routine behind float().  Both skip blank
+    lines; numpy raises on a whitespace-only or ragged line and on a
+    number only float() reads ('1_000', non-ASCII digits).  Checked here:
+    - the path is a regular file, since the file is opened three times;
+    - the header is one physical line, so skipping one line skips it;
+    - universal newlines turn a carriage return in a quoted field into a
+      line feed, which no number notices, so text cells holding a line
+      feed are refused;
+    - no field may pass `csv.field_size_limit()`: text cells are measured,
+      and a number, holding no comma, is no longer than the longest
+      comma-free run of the file.
+    """
+    if not os.path.isfile(path):
+        return None
+    limit = csv.field_size_limit()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader)]
+            one_line = reader.line_num == 1
+    except (ValueError, csv.Error, StopIteration):
+        return None
+    if (not one_line or tuple(header[:3]) != _OBS_PREFIX
+            or _longest_comma_free_run(path) > limit):
+        return None
+    text = _text_columns(header)
+    dtype = np.dtype([("", object if j in text else float)
+                      for j in range(len(header))])
+    try:
+        with warnings.catch_warnings():
+            # numpy warns, rather than raises, when no data row is left
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype=dtype, delimiter=",",
+                               quotechar='"', comments=None, skiprows=1,
+                               ndmin=1, encoding="utf-8-sig")
+    except (ValueError, UserWarning):
+        return None
+    columns = [table[name] for name in dtype.names]
+    for j in text:
+        cells = set(columns[j])
+        if any(len(c) > limit or "\n" in c for c in cells) or (
+                j and not {"0", "1"}.issuperset(map(str.strip, cells))):
+            return None
+    values = [np.fromiter(map(float, c), float, len(c)) if j in text else c
+              for j, c in enumerate(columns[1:], 1)]
+    return list(map(str.strip, columns[0])), values, 3 in text
+
+
+def _csv_columns(path):
+    """(stripped cluster ids, the other columns as float arrays, whether
+    there is a post column), read by the csv module.  Columns are parsed
+    whole by float(); on a failure the rows are rescanned in order, so
+    the error names the first bad cell."""
     header, rows, linenos = _read_rows(path)
     if tuple(header[:3]) != _OBS_PREFIX:
         raise InputFormatError(
             f"header must start with {','.join(_OBS_PREFIX)}; got "
             f"{','.join(header[:3])}")
-    has_post = len(header) > 3 and header[3] == "post"
-    binary = (1, 3) if has_post else (1,)
+    binary = _text_columns(header)[1:]
     fields = [(j, header[j], _parse_binary if j in binary else _parse_float)
               for j in range(1, len(header))]
 
@@ -384,9 +457,28 @@ def ingest_csv(path, schema: str = "observations"):
             for j, name, parse in fields:
                 parse(row[j], name, lineno)
         raise
+    return (list(map(str.strip, map(itemgetter(0), rows))), values,
+            3 in binary)
+
+
+def ingest_csv(path, schema: str = "observations"):
+    """Read a CSV file into a ClusterDataset (schema 'observations':
+    header cluster_id,treated,outcome[,post][,covariates...]) or a
+    ClusterEstimates (schema 'estimates': header
+    cluster_id,treated,estimate, one row per cluster).  Observation files
+    are read by numpy's tokenizer when it provably gives what the csv
+    module would (`_tokenized_columns`), and by the csv module otherwise,
+    which is then the source of every format error."""
+    if schema == "estimates":
+        return load_estimates(path)
+    if schema != "observations":
+        raise DomainError(
+            f"schema must be 'observations' or 'estimates', got {schema!r}")
+    ids, values, has_post = (_tokenized_columns(path)
+                             or _csv_columns(path))
     covs = values[2 + has_post:]
     return ClusterDataset(
-        list(map(str.strip, map(itemgetter(0), rows))), values[0], values[1],
+        ids, values[0], values[1],
         covariates=np.stack(covs, axis=1) if covs else None,
         post=values[2] if has_post else None)
 

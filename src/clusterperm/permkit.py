@@ -30,7 +30,7 @@ import numpy as np
 from .errors import CapacityError, ContractError, DomainError, ShapeError
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
-_SAMPLE_ROWS = 1 << 14  # draws per sampling block
+_SAMPLE_ROWS = 1 << 12  # draws per sampling block
 _COUNT_ROWS = 1 << 16  # left sums per split-sum counting chunk
 _PROBE_SAMPLE = 1 << 12  # sums sampled to place a selection probe
 _PRODUCT_BYTES = 1 << 21  # bytes of x @ W per counting block

@@ -35,6 +35,7 @@ from .permkit import (
 )
 
 _SIDES = ("right", "left", "two-sided")
+_VALUE_ROWS = 1 << 12  # assignments per block of relabeled statistics
 
 
 def _check_sums_finite(x: np.ndarray, what: str) -> None:
@@ -193,7 +194,10 @@ def _relabelings(x: np.ndarray, design: Design, assignments) -> _Relabelings:
             design.n_assignments, t_obs, sums.count_at_least(sums.identity),
             sums.count_at_most(sums.identity),
             lambda i: float(value(sums.subset_at(i))), source)
-    vals = value(idx)
+    # row blocks bound the (rows, q1) gather; each row's sum is unchanged
+    vals = np.empty(len(idx))
+    for lo in range(0, len(idx), _VALUE_ROWS):
+        vals[lo:lo + _VALUE_ROWS] = value(idx[lo:lo + _VALUE_ROWS])
     # the left side is the right side's rule on negated values
     return _Relabelings(
         len(idx), t_obs, int(count_at_or_above(vals)),

@@ -205,15 +205,6 @@ def bootstrap_p_values(t_star: np.ndarray, t):
             (1 + (np.abs(t_star) >= np.abs(t) - tol).sum(axis=-1)) / n)
 
 
-def cluster_robust_ols(data: Mapping[str, object],
-                       spec: PooledRegressionSpec) -> tuple[float, float]:
-    """Pooled OLS coefficient of the target regressor and its
-    cluster-robust standard error (sandwich with cluster-summed scores,
-    scaled by dof_adjustment)."""
-    coef, se, _ = pooled_t(*_assemble(data, spec))
-    return float(coef), float(se)
-
-
 def _t_reference_outcome(statistic: float, df: int, alpha: float, side: str,
                          method: str, extra: dict) -> TestOutcome:
     from scipy.special import stdtr, stdtrit
@@ -269,9 +260,9 @@ def im_test(theta_hat: ClusterEstimates, alpha: float,
 
 def bch_test(data: Mapping[str, object], spec: PooledRegressionSpec,
              alpha: float, side: str = "right") -> TestOutcome:
-    """Pooled cluster-robust t-test: coefficient/se from
-    cluster_robust_ols against a t reference with q - 1 degrees of
-    freedom."""
+    """Pooled cluster-robust t-test: the pooled_t coefficient over its
+    cluster-robust standard error against a t reference with q - 1
+    degrees of freedom."""
     check_side_alpha(side, alpha)
     x, y, starts, t_idx, adj = _assemble(data, spec)
     coef, se, statistic = pooled_t(x, y, starts, t_idx, adj)

@@ -293,6 +293,19 @@ class TestTestCommand:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InputFormatError"
 
+    def test_oversized_observation_field_exits_two(self, capsys, tmp_path):
+        # one cell past csv.field_size_limit(), padding a number that
+        # float() would read
+        path = tmp_path / "big.csv"
+        path.write_text("cluster_id,treated,outcome\n"
+                        f"c0,1,{' ' * 131_072}1\nc1,0,2\n")
+        code, _, err = run_cli(capsys, "test", "--input", str(path),
+                               "--mode", "intercept", "--alpha", "0.05")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputFormatError"
+        assert "field larger than field limit (131072)" in error["message"]
+
     def test_calibrated_level_off_the_table(self, capsys, tmp_path):
         # 3+13 at alpha = .20 is not tabulated but is feasible (worst-case
         # size .125); --calibrate runs the test at a calibrated level

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import fsolve
 from scipy.stats import norm
 
+from clusterperm import estimators
 from clusterperm.errors import (
     ClusterPermError,
     ContractError,
@@ -642,6 +647,185 @@ class TestColumnIngestion:
             ingest_csv(path)
 
 
+def _csv_path_ingest(path):
+    """ingest_csv with numpy's tokenizer turned off: the csv path alone."""
+    with mock.patch.object(estimators, "_tokenized_columns",
+                           lambda path: None):
+        return ingest_csv(path)
+
+
+_LIMIT = csv.field_size_limit()
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def _raw_observations(draw):
+    """Bytes of an observations file in the shapes where the csv module
+    and numpy's tokenizer could part: a BOM, quoting, blank lines, mixed
+    line ends, numbers only float() reads, loose flags, blank ids, ragged
+    rows and fields at and past the csv module's size limit.  Half the
+    examples hold only cells both parsers accept, but for the long
+    field."""
+    q = draw(st.integers(2, 4))
+    flags = draw(st.lists(st.integers(0, 1), min_size=q, max_size=q)
+                 .filter(lambda f: 0 < sum(f) < len(f)))
+    has_post = draw(st.booleans())
+    ncov = draw(st.integers(0, 2))
+    faulty = draw(st.booleans())
+
+    def pick(common, rare=()):
+        # integer draws lean to their ends, so a middle value is the rare one
+        if faulty and rare and draw(st.integers(0, 6)) == 3:
+            return draw(st.sampled_from(rare))
+        return draw(st.sampled_from(common))
+
+    def cluster_id(k):
+        c = f"c{k}"
+        return pick([c, f" {c} ", _quote(c), _quote(f"{c},x"),
+                     _quote(f'{c}"x'), f'{c}"x', f'"{c}"x', f"{c}é",
+                     f"{c}\x00", ""],
+                    [_quote(f"{c}\nx"), _quote(f"{c}\r\nx"),
+                     _quote(f"{c}\rx"), " "])
+
+    def number():
+        v = pick([draw(_FINITE.filter(lambda v: "_" not in v))],
+                 ["1_000", "١٢", "inf", "-nan", "1e999", "oops", ""])
+        return pick([v, f" {v} ", _quote(v), _quote(f"\r\n{v}\n"),
+                     f'"{v}"5'])
+
+    def binary(v):
+        return pick([str(v)] * 4 + [f" {v} ", _quote(str(v))],
+                    [_quote(f"\r\n{v}"), "1.0", "+1"])
+
+    header = ["cluster_id", "treated", "outcome"]
+    header += ["post"] if has_post else []
+    header += [f"x{j}" for j in range(ncov)]
+    header = [pick([h, _quote(h), f" {h} "]) for h in header]
+    # a header over two lines, or over the whole file
+    header[-1] = pick([header[-1]], [_quote("x\ny"), '"' + header[-1]])
+    ids = [cluster_id(k) for k in range(q)]
+    rows = []
+    for k in draw(st.permutations(list(range(q)) + draw(
+            st.lists(st.integers(0, q - 1), max_size=8)))):
+        cells = [ids[k], binary(flags[k]), number()]
+        cells += [binary(draw(st.integers(0, 1)))] if has_post else []
+        cells += [number() for _ in range(ncov)]
+        rows.append(cells)
+        if draw(st.integers(0, 6)) == 3:
+            rows.append(pick([[""]], [["  "], [" ", " ", "\t"],
+                                      cells[:-1], cells + ["9"]]))
+    if draw(st.booleans()):  # a field at or past the limit
+        cells = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, len(cells) - 1))
+        pad = _LIMIT - len(cells[j]) + draw(st.integers(0, 1))
+        cells[j] = draw(st.sampled_from([
+            " " * pad + cells[j], _quote("\n" * pad + cells[j]),
+            _quote("," * pad + cells[j]), cells[j] + "x" * pad]))
+    tail = draw(st.sampled_from(["end of line", "none", "open quote"]))
+    if tail == "open quote":  # the file ends inside a quoted field
+        rows[-1][-1] = '"' + draw(_FINITE)
+    lines = [",".join(header)] + [",".join(cells) for cells in rows]
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                   for line in lines)
+    if tail != "end of line":
+        text = text.rstrip("\r\n")
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode()
+
+
+class TestTokenizedIngestion:
+    """numpy's tokenizer reads observation files only where it gives what
+    the csv path gives: the same dataset, or the same error."""
+
+    @given(raw=_raw_observations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_csv_path(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(raw)
+        assert _outcome_of(ingest_csv, path) == _outcome_of(
+            _csv_path_ingest, path)
+
+    def test_reads_quoted_fields_and_line_ends(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(
+            b'\xef\xbb\xbf"cluster_id",treated,outcome,post,x1\r\n'
+            b'"a,1",1,"2.5",0,1e-3\r\n\r\n'
+            b'"a,1",1," 3",1,-0\r'
+            b'"b""q",0,4,0,"\n7\n"\n'
+            b'b"q,0,5,1,inf\n')
+        assert estimators._tokenized_columns(path) is not None
+        assert _outcome_of(ingest_csv, path) == _outcome_of(
+            _csv_path_ingest, path)
+        with pytest.raises(DomainError, match="covariates must all be finite"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "cluster_id,treated,outcome\na,1,1_000\nb,0,2\n",
+        'cluster_id,treated,outcome\n"a\rz",1,1\nb,0,2\n',
+        'cluster_id,treated,outcome,"x\n1"\na,1,1,2\nb,0,2,3\n',
+        'cluster_id,treated,outcome,"x\na,1,1,2\nb,0,2,3\n',
+        f'cluster_id,treated,outcome\n"a{"," * _LIMIT}",1,1\nb,0,2\n',
+        f"cluster_id,treated,outcome\na,1,{' ' * _LIMIT}1\nb,0,2\n",
+        f'cluster_id,treated,outcome\na,1,"{chr(10) * _LIMIT}1"\nb,0,2\n',
+        "cluster_id,treated,outcome\n\n\n",
+    ])
+    def test_refuses_what_it_cannot_vouch_for(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert estimators._tokenized_columns(path) is None
+
+    @given(text=st.text(alphabet=",ab\n", max_size=60),
+           size=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_comma_scan_across_chunks(self, tmp_path_factory, text, size):
+        path = tmp_path_factory.mktemp("scan") / "data.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(estimators, "_SCAN_BYTES", size):
+            got = estimators._longest_comma_free_run(path)
+        assert got == max(map(len, text.split(",")))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_reads_a_pipe_once(self, tmp_path):
+        # a pipe can be read only once, so it takes the csv path alone;
+        # a second open of it would wait for a writer forever
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        read = []
+        threads = [
+            threading.Thread(target=lambda: read.append(ingest_csv(pipe)),
+                             daemon=True),
+            threading.Thread(target=pipe.write_text, daemon=True, args=(
+                "cluster_id,treated,outcome\na,1,1.5\nb,0,2.5\n",))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert read[0].cluster_ids == ("a", "b")
+
+    def test_peak_memory_of_a_large_file(self, tmp_path):
+        # the benchmark's shape: 24 clusters of 2,000 rows, 3 covariates
+        rng = np.random.default_rng(5)
+        lines = ["cluster_id,treated,outcome,x1,x2,x3"]
+        for k in range(24):
+            for row in rng.normal(size=(2000, 4)).tolist():
+                lines.append(f"c{k:02d},{int(k < 12)},"
+                             + ",".join(map(repr, row)))
+        path = tmp_path / "large.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 10.0 MB with numpy's tokenizer; the csv path alone needs 28 MB
+        assert peak < 12e6
+
+
 class TestEncoding:
     TEXT = "cluster_id,treated,outcome\nu,1,3.0\nu,1,5.0\nv,0,7.0\n"
 
@@ -663,6 +847,10 @@ class TestEncoding:
                         f"c1,1,{'1' * 200_000}\nc2,0,0.5\n")
         with pytest.raises(InputFormatError, match="big.csv: field larger"):
             load_estimates(path)
+        path.write_text("cluster_id,treated,outcome\n"
+                        f"c1,1,{' ' * 200_000}1\nc2,0,0.5\n")
+        with pytest.raises(InputFormatError, match="big.csv: field larger"):
+            ingest_csv(path)
 
     def test_undecodable_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "bad.csv"

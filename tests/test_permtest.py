@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterperm import permtest
 from clusterperm.errors import (
     CapacityError,
     ContractError,
@@ -435,6 +437,39 @@ class TestAdjustedTest:
         assert out.n_assignments == 2000
         assert out.assignment_source == "sampled(m=2000)"
         assert out.decision == "reject"
+
+    def test_sampled_values_do_not_depend_on_block_size(self,
+                                                         monkeypatch):
+        # 8,195 draws end value blocks of 4,096 rows and of 7 rows inside
+        # the collection; tied data makes the counts sensitive to any
+        # change in a row's sum
+        d = Design(7, 6)
+        x = np.array([0.1, 0.7, 0.2, 0.1, 0.3, 0.6, 0.2,
+                      0.3, 0.1, 0.7, 0.2, 0.6, 0.1])
+        draws = sample_assignments(d, 8_195, rng=RngStream(12))
+        outcomes = []
+        for rows in (7, 4_096, 1 << 20):
+            monkeypatch.setattr(permtest, "_VALUE_ROWS", rows)
+            outcomes.append([adjusted_test(ClusterEstimates(d, x), alpha=a,
+                                           side=side, assignments=draws)
+                             for a in (0.05, 0.10)
+                             for side in ("right", "left", "two-sided")])
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_sampled_peak_memory(self):
+        # one gather of all 100,000 draws held a 9.6 MB (m, q1) array
+        d = Design(12, 12)
+        x = RngStream(4).generator().standard_normal(24)
+        draws = sample_assignments(d, 100_000, rng=RngStream(5))
+        tracemalloc.start()
+        try:
+            adjusted_test(ClusterEstimates(d, x), alpha=0.05,
+                          assignments=draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.8 MB in value blocks of 4,096 rows; 10.4 MB in one gather
+        assert peak < 3e6
 
     def test_sample_of_size_n_is_labelled_sampled(self):
         # 70 draws with repeats from the 70 assignments of 4+4 are a

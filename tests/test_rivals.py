@@ -23,12 +23,17 @@ from clusterperm.rivals import (
     _assemble,
     bch_test,
     bootstrap_p_values,
-    cluster_robust_ols,
     dof_adjustment,
     im_test,
     pooled_t,
     wild_cluster_bootstrap_test,
 )
+
+
+def _coef_se(data, spec):
+    """The pooled OLS coefficient of the target and its cluster-robust
+    standard error."""
+    return pooled_t(*_assemble(data, spec))[:2]
 
 
 # =========================================================================
@@ -102,7 +107,7 @@ def _enumerated_bootstrap_p(table, spec, side="right"):
     q = codes.max() + 1
     t_idx = spec.regressors.index(spec.target)
 
-    coef, se = cluster_robust_ols(table, spec)
+    coef, se = _coef_se(table, spec)
     t_obs = coef / se
     keep = [i for i in range(x.shape[1]) if i != t_idx]
     if keep:
@@ -117,7 +122,7 @@ def _enumerated_bootstrap_p(table, spec, side="right"):
         ystar = fit_r + resid * np.asarray(g)[codes]
         t2 = dict(table)
         t2[spec.outcome] = ystar
-        c, s = cluster_robust_ols(t2, spec)
+        c, s = _coef_se(t2, spec)
         stats.append(c / s)
     stats = np.asarray(stats)
     tol = 1e-9 * max(1.0, abs(t_obs))
@@ -167,12 +172,12 @@ class TestDofAdjustment:
 
 
 # =========================================================================
-# cluster_robust_ols
+# pooled_t on one data table
 # =========================================================================
 
 class TestClusterRobustOls:
     def test_hand_oracle(self):
-        coef, se = cluster_robust_ols(FOUR_POINT, _spec())
+        coef, se = _coef_se(FOUR_POINT, _spec())
         assert coef == pytest.approx(FOUR_POINT_COEF, abs=1e-12)
         assert se == pytest.approx(FOUR_POINT_SE, abs=1e-12)
 
@@ -184,7 +189,7 @@ class TestClusterRobustOls:
         x = rng.normal(size=n)
         y = 1.0 + 0.5 * x + rng.normal(size=n)
         table = {"y": y, "one": np.ones(n), "x": x, "cid": np.arange(n)}
-        coef, se = cluster_robust_ols(table, _spec())
+        coef, se = _coef_se(table, _spec())
 
         xd = np.column_stack([np.ones(n), x])
         bread = np.linalg.inv(xd.T @ xd)
@@ -200,30 +205,30 @@ class TestClusterRobustOls:
         rng = np.random.default_rng(5)
         table = _random_table(rng)
         spec = _spec(("one", "x1", "tr"), "tr")
-        coef, _ = cluster_robust_ols(table, spec)
+        coef, _ = _coef_se(table, spec)
         doubled = {k: np.concatenate([np.asarray(v), np.asarray(v)])
                    for k, v in table.items()}
-        coef2, _ = cluster_robust_ols(doubled, spec)
+        coef2, _ = _coef_se(doubled, spec)
         assert coef2 == pytest.approx(coef, rel=1e-12)
 
     def test_rank_deficient_design(self):
         table = dict(FOUR_POINT)
         table["x2"] = [2.0 * v for v in FOUR_POINT["x"]]
         with pytest.raises(RankDeficientError):
-            cluster_robust_ols(table, _spec(("one", "x", "x2"), "x"))
+            _coef_se(table, _spec(("one", "x", "x2"), "x"))
 
     def test_missing_and_ragged_columns(self):
         with pytest.raises(DomainError, match="missing"):
-            cluster_robust_ols(FOUR_POINT, _spec(("one", "zz"), "zz"))
+            _coef_se(FOUR_POINT, _spec(("one", "zz"), "zz"))
         bad = dict(FOUR_POINT)
         bad["x"] = [0.0, 1.0]
         with pytest.raises(ShapeError):
-            cluster_robust_ols(bad, _spec())
+            _coef_se(bad, _spec())
 
     def test_single_cluster_rejected(self):
         table = {"y": [1.0, 2.0], "one": [1.0, 1.0], "cid": ["a", "a"]}
         with pytest.raises(DomainError):
-            cluster_robust_ols(table, _spec(("one",), "one"))
+            _coef_se(table, _spec(("one",), "one"))
 
 
 # =========================================================================
@@ -339,7 +344,7 @@ class TestBchTest:
         rng = np.random.default_rng(10)
         table = _random_table(rng, q=6, n_per=8)
         spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
-        coef, se = cluster_robust_ols(table, spec)
+        coef, se = _coef_se(table, spec)
         out = bch_test(table, spec, 0.05)
         assert out.statistic == pytest.approx(coef / se, rel=1e-15)
 

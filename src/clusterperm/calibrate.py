@@ -42,7 +42,7 @@ from .permkit import (
     sample_assignments,
     weight_matrix,
 )
-from .permtest import AlphaEntry, order_index_from_level, size_bound
+from .permtest import AlphaEntry, check_alpha, order_index_from_level, size_bound
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,7 @@ def calibrate_exhaustive(design: Design, alpha: float,
     replaces the Beta draws to calibrate over a restricted variance set.
     """
     params = params or CalibrationParams()
-    if not (0 < alpha < 1):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    check_alpha(alpha)
     n = design.n_assignments
     if n >= params.enumeration_threshold:
         raise CapacityError(
@@ -272,8 +271,7 @@ def calibrate_sampled(design: Design, alpha: float,
     grid arithmetic is exact, so repeated runs visit identical levels.
     """
     params = params or CalibrationParams()
-    if not (0 < alpha < 1):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    check_alpha(alpha)
     n = design.n_assignments
     if n < params.enumeration_threshold:
         raise ContractError(

@@ -27,7 +27,12 @@ import sys
 from dataclasses import fields, replace
 
 from .calibrate import CalibrationParams, calibrate_exhaustive, calibrate_sampled
-from .errors import ClusterPermError, DomainError, ValidationError
+from .errors import (
+    ClusterPermError,
+    DomainError,
+    InputFormatError,
+    ValidationError,
+)
 from .estimators import (
     EstimatorSpec,
     binary_choice_cluster_estimates,
@@ -38,14 +43,14 @@ from .permkit import RngStream, sample_assignments
 from .permtest import (
     adjusted_test,
     adjustment_level,
+    check_alpha,
     lookup_bar_alpha,
     size_bound,
 )
 from .power import PowerSpec, power_lower_bound
 from .simharness import (
-    did_config_from_mapping,
-    normal_config_from_mapping,
-    parse_key_value_file,
+    DidConfig,
+    NormalLocationConfig,
     run_did_study,
     run_normal_location_study,
 )
@@ -152,38 +157,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_key_value_file(path) -> dict[str, str]:
+    """Flat key=value config file: one pair per line, '#' comments and
+    blank lines ignored."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputFormatError(
+                f"line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise InputFormatError(f"line {lineno}: empty key")
+        if key in out:
+            raise InputFormatError(f"line {lineno}: duplicate key "
+                                   f"{key!r}")
+        out[key] = value.strip()
+    return out
+
+
+def config_from_strings(cls, mapping: dict[str, str]):
+    """cls built from string values keyed by field name.  Each value
+    takes the type of its field's default; a tuple field takes a
+    comma-separated list, each entry typed like the default's entries."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for key, text in mapping.items():
+        if key not in defaults:
+            raise DomainError(f"unknown config key {key!r} for {cls.__name__}; "
+                              f"valid names: {', '.join(defaults)}")
+        default = defaults[key]
+        kind = type(default[0] if isinstance(default, tuple) else default)
+        try:
+            if isinstance(default, tuple):
+                kwargs[key] = tuple(kind(p) for p in text.split(",")
+                                    if p.strip() != "")
+            else:
+                kwargs[key] = kind(text)
+        except ValueError:
+            raise DomainError(f"config key {key} must be {kind.__name__}, "
+                              f"got {text!r}") from None
+    return cls(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (payload dict, text rendering)
 # ---------------------------------------------------------------------------
 
 def _cmd_bound(ns):
     value = size_bound(ns.q1, ns.q0)
-    if not (0.0 < ns.alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0,1), got {ns.alpha}")
+    check_alpha(ns.alpha)
     payload = {"command": "bound", "q1": ns.q1, "q0": ns.q0,
                "alpha": ns.alpha, "size_bound": value,
                "exceeds_alpha": value > ns.alpha}
     return payload, f"{value:.4f}"
-
-
-def _calibration_params(ns) -> CalibrationParams:
-    base = CalibrationParams()
-    overrides = {}
-    valid = {f.name for f in fields(CalibrationParams)}
-    for item in ns.param:
-        name, sep, value = item.partition("=")
-        if not sep or name not in valid:
-            raise DomainError(f"unknown calibration parameter {item!r}; "
-                              f"valid names: {', '.join(sorted(valid))}")
-        kind = type(getattr(base, name))
-        try:
-            overrides[name] = kind(value)
-        except ValueError:
-            raise DomainError(f"calibration parameter {name} must be "
-                              f"{kind.__name__}, got {value!r}") from None
-    if ns.seed is not None:
-        overrides["seed"] = ns.seed
-    return replace(base, **overrides)
 
 
 def _alpha_entry(ns, design, alpha, seed):
@@ -193,7 +228,9 @@ def _alpha_entry(ns, design, alpha, seed):
         if ns.param:
             raise DomainError("--param requires --calibrate")
         return lookup_bar_alpha(design.q1, design.q0, alpha)
-    params = replace(_calibration_params(ns), seed=seed)
+    mapping = dict(item.partition("=")[::2] for item in ns.param)
+    params = replace(config_from_strings(CalibrationParams, mapping),
+                     seed=seed)
     fn = (calibrate_exhaustive if ns.calibrate == "exhaustive"
           else calibrate_sampled)
     return fn(design, alpha, params=params)
@@ -293,10 +330,10 @@ def _cmd_simulate(ns):
     if ns.seed is not None:
         mapping["seed"] = str(ns.seed)
     if ns.study == "normal":
-        cfg = normal_config_from_mapping(mapping)
+        cfg = config_from_strings(NormalLocationConfig, mapping)
         table = run_normal_location_study(cfg, workers=ns.workers)
     else:
-        cfg = did_config_from_mapping(mapping)
+        cfg = config_from_strings(DidConfig, mapping)
         table = run_did_study(cfg, workers=ns.workers)
     table.write_csv(ns.out)
     payload = {"command": "simulate", "study": ns.study, "out": ns.out,

@@ -174,6 +174,17 @@ class EstimatorSpec:
                               f"got {self.link!r} with mode {self.mode!r}")
 
 
+def _rank_deficient(x: np.ndarray, r: np.ndarray, piv: np.ndarray) -> bool:
+    """Whether x, factored as x[:, piv] = QR with column pivoting, is
+    rank deficient: some |R_jj| is at most _RANK_TOL times the norm of
+    its own column x[:, piv[j]].  Each ratio is the sine of the angle
+    between that column and the span of the columns pivoted before it,
+    so rescaling a column never changes the verdict; a zero column is
+    always deficient."""
+    norms = np.linalg.norm(x, axis=0)[piv]
+    return bool(np.any(np.abs(np.diag(r)) <= _RANK_TOL * norms))
+
+
 def _ols_coefficients(xd: np.ndarray, y: np.ndarray, cid: str) -> np.ndarray:
     from scipy.linalg import qr, solve_triangular
 
@@ -182,8 +193,7 @@ def _ols_coefficients(xd: np.ndarray, y: np.ndarray, cid: str) -> np.ndarray:
         raise DegenerateDataError(
             f"cluster {cid!r} has {n} rows for {d} regressors")
     q, r, piv = qr(xd, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0 or np.any(diag < _RANK_TOL * diag[0]):
+    if _rank_deficient(xd, r, piv):
         raise RankDeficientError(
             f"design matrix of cluster {cid!r} is rank deficient")
     coef_p = solve_triangular(r, q.T @ y)

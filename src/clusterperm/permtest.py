@@ -106,15 +106,10 @@ def comparison_of_means(x: ClusterEstimates) -> float:
     return float(coef * x.treated_values.sum() - x.values.sum() / d.q0)
 
 
-def max_characterization(x: ClusterEstimates) -> bool:
-    """True iff every treated entry strictly exceeds every control entry.
-
-    This event is exactly 'the statistic is the strict maximum of its
-    permutation distribution', which is what the power lower bound and
-    the worst-case size analysis are built on; it is exposed as a cheap
-    oracle for both.
-    """
-    return float(x.treated_values.min()) > float(x.control_values.max())
+def check_alpha(alpha: float) -> None:
+    """DomainError unless the level alpha lies in (0,1)."""
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
 
 
 def size_bound(q1: int, q0: int) -> float:
@@ -287,9 +282,6 @@ _BAR_ALPHA_TABLE: dict[str, dict[tuple[int, int], str]] = {
     },
 }
 
-TABULATED_LEVELS = (0.10, 0.05, 0.025, 0.01, 0.005)
-
-
 @dataclass(frozen=True)
 class AlphaEntry:
     """An adjusted level bar_alpha for a (q1, q0, alpha) triple.
@@ -360,8 +352,7 @@ def lookup_bar_alpha(q1: int, q0: int, alpha: float) -> AlphaEntry:
     (max, min) entry is returned for q1 < q0.
     """
     design = Design(q1, q0)  # validates the pair
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    check_alpha(alpha)
     bound = size_bound(q1, q0)
     key = _match_level(alpha)
     if key is None:
@@ -385,15 +376,6 @@ def lookup_bar_alpha(q1: int, q0: int, alpha: float) -> AlphaEntry:
                       bar_alpha_exact=exact)
 
 
-def tabulated_cells() -> list[tuple[float, int, int, str]]:
-    """Every nonblank table cell as (alpha, q1, q0, printed-string)."""
-    out = []
-    for key, cells in _BAR_ALPHA_TABLE.items():
-        for (q1, q0), printed in cells.items():
-            out.append((float(key), q1, q0, printed))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the test decision
 # ---------------------------------------------------------------------------
@@ -403,8 +385,7 @@ def check_side_alpha(side: str, alpha: float) -> None:
     the argument check every test in the package starts with."""
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    check_alpha(alpha)
 
 
 def adjustment_level(alpha: float, side: str) -> float:

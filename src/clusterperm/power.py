@@ -60,14 +60,6 @@ class PowerSpec:
                                   f"{_MAX_MAGNITUDE:g}], got {raw!r}")
             object.__setattr__(self, name, sig)
 
-    @property
-    def q1(self) -> int:
-        return len(self.sigmas_treated)
-
-    @property
-    def q0(self) -> int:
-        return len(self.sigmas_control)
-
 
 def power_lower_bound(spec: PowerSpec) -> float:
     """The guaranteed-rejection probability P(min treated > max control)

@@ -40,6 +40,7 @@ from .errors import (
     RankDeficientError,
     ShapeError,
 )
+from .estimators import _rank_deficient
 from .permkit import RngStream, _as_generator, positive_int
 from .permtest import ClusterEstimates, TestOutcome, check_side_alpha
 
@@ -121,8 +122,7 @@ def _assemble(data: Mapping[str, object], spec: PooledRegressionSpec):
     if q < 2:
         raise DomainError("need at least 2 clusters")
     adj = dof_adjustment(n, q, spec.d)
-    diag = np.abs(np.diag(qr(x, mode="r", pivoting=True)[0]))
-    if diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0]):
+    if _rank_deficient(x, *qr(x, mode="r", pivoting=True)):
         raise RankDeficientError("pooled design matrix is rank deficient")
     order = np.argsort(codes, kind="stable")
     starts = np.searchsorted(codes[order], np.arange(q))

@@ -33,6 +33,7 @@ the result tables.
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, fields
@@ -40,9 +41,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContractError, DomainError, InputFormatError
-from .permkit import Design, RngStream, relabeling_counts
-from .permtest import lookup_bar_alpha
+from .errors import ContractError, DomainError
+from .permkit import Design, RngStream, positive_int, relabeling_counts
+from .permtest import check_alpha, lookup_bar_alpha
 from .rivals import bootstrap_p_values, dof_adjustment, group_t, pooled_t
 
 _BLOCK = 256  # replications per scheduled block
@@ -56,15 +57,13 @@ _METHODS_DID = ("adjusted-permutation", "group-t", "pooled-cluster-t",
                 "wild-cluster-bootstrap")
 
 
-def _check_common(q1, q0, alpha, replications, seed):
-    if not (isinstance(q1, int) and isinstance(q0, int) and q1 >= 1
-            and q0 >= 1):
-        raise DomainError("q1 and q0 must be positive integers")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    if not (isinstance(replications, int) and replications >= 1):
-        raise DomainError("replications must be a positive integer")
-    if not isinstance(seed, int):
+def _check_common(cfg, *counts):
+    """Check the fields both studies share and the further positive
+    counts named, keeping each count as an int."""
+    for name in ("q1", "q0", "replications", *counts):
+        object.__setattr__(cfg, name, positive_int(name, getattr(cfg, name)))
+    check_alpha(cfg.alpha)
+    if not isinstance(cfg.seed, int):
         raise DomainError("seed must be an integer")
 
 
@@ -75,6 +74,15 @@ def _check_magnitudes(cfg, names):
             if not abs(v) <= _MAX_MAGNITUDE:
                 raise DomainError(f"{name} must be finite and at most "
                                   f"{_MAX_MAGNITUDE:g} in magnitude, got {v!r}")
+
+
+def _sigmas(cfg, h: int) -> np.ndarray:
+    """Per-cluster sigmas: sigma_high on the last h clusters, sigma_low
+    on the rest."""
+    q = cfg.q1 + cfg.q0
+    s = np.full(q, cfg.sigma_low)
+    s[q - h:] = cfg.sigma_high
+    return s
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,7 @@ class NormalLocationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_common(self.q1, self.q0, self.alpha, self.replications,
-                      self.seed)
+        _check_common(self)
         object.__setattr__(self, "mu1_grid",
                            tuple(float(m) for m in self.mu1_grid))
         if not self.mu1_grid:
@@ -109,12 +116,6 @@ class NormalLocationConfig:
                                  "sigma_high"))
         if not (self.sigma_low > 0 and self.sigma_high > 0):
             raise DomainError("sigma_low and sigma_high must be positive")
-
-    def sigmas(self) -> np.ndarray:
-        q = self.q1 + self.q0
-        s = np.full(q, self.sigma_low)
-        s[q - self.h:] = self.sigma_high
-        return s
 
 
 @dataclass(frozen=True)
@@ -146,38 +147,26 @@ class DidConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_common(self.q1, self.q0, self.alpha, self.replications,
-                      self.seed)
+        _check_common(self, "n0", "n1", "bootstrap_B")
         object.__setattr__(self, "delta_grid",
                            tuple(float(d) for d in self.delta_grid))
-        object.__setattr__(self, "h_grid",
-                           tuple(int(h) for h in self.h_grid))
-        if not (isinstance(self.n0, int) and isinstance(self.n1, int)
-                and self.n0 >= 1 and self.n1 >= 1):
-            raise DomainError("n0 and n1 must be positive integers")
+        object.__setattr__(self, "h_grid", tuple(self.h_grid))
         if not abs(self.rho) < 1.0:
             raise DomainError(f"rho must satisfy |rho| < 1, got {self.rho}")
         if not (isinstance(self.burn_in, int) and self.burn_in >= 0):
             raise DomainError("burn_in must be a nonnegative integer")
-        if not (isinstance(self.bootstrap_B, int) and self.bootstrap_B >= 1):
-            raise DomainError("bootstrap_B must be a positive integer")
         if not self.delta_grid:
             raise DomainError("delta_grid must be nonempty")
         q = self.q1 + self.q0
-        if not self.h_grid or not all(0 <= h <= q for h in self.h_grid):
-            raise DomainError(f"h_grid entries must lie in [0, {q}]")
+        if not self.h_grid or not all(isinstance(h, int) and 0 <= h <= q
+                                      for h in self.h_grid):
+            raise DomainError(f"h_grid entries must be integers in [0, {q}], "
+                              f"got {self.h_grid}")
         _check_magnitudes(self, ("delta_grid", "sigma_low", "sigma_high",
                                  "theta0", "beta1", "beta2", "beta3", "zeta",
                                  "gamma"))
         if not (self.sigma_low > 0 and self.sigma_high > 0):
             raise DomainError("sigma_low and sigma_high must be positive")
-
-    def sigmas(self, h: int) -> np.ndarray:
-        q = self.q1 + self.q0
-        s = np.full(q, self.sigma_low)
-        if h > 0:
-            s[q - h:] = self.sigma_high
-        return s
 
 
 def _ar1(v: np.ndarray, rho: float) -> np.ndarray:
@@ -206,18 +195,6 @@ class ResultTable:
     rows: tuple[tuple, ...]
     metadata: dict
 
-    def rate(self, method: str, **cell) -> float:
-        """The rejection_rate of the unique row matching the given
-        method and cell coordinates."""
-        want = dict(cell, method=method)
-        rate_idx = self.columns.index("rejection_rate")
-        hits = [r for r in self.rows
-                if all(r[self.columns.index(k)] == v
-                       for k, v in want.items())]
-        if len(hits) != 1:
-            raise DomainError(f"{len(hits)} rows match {want}")
-        return float(hits[0][rate_idx])
-
     def write_csv(self, path) -> None:
         lines = [f"# {k}={v}" for k, v in self.metadata.items()]
         lines.append(",".join(self.columns))
@@ -233,67 +210,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def parse_key_value_file(path) -> dict[str, str]:
-    """Flat key=value config file: one pair per line, '#' comments and
-    blank lines ignored."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputFormatError(
-                f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise InputFormatError(f"line {lineno}: empty key")
-        if key in out:
-            raise InputFormatError(f"line {lineno}: duplicate key "
-                                   f"{key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def _coerce_mapping(cls, mapping):
-    kwargs = {}
-    known = {f.name: f for f in fields(cls)}
-    try:
-        for key, value in mapping.items():
-            if key not in known:
-                raise DomainError(f"unknown config key {key!r} for "
-                                  f"{cls.__name__}")
-            default = known[key].default
-            if isinstance(default, tuple) or key.endswith("_grid"):
-                parts = [p for p in str(value).split(",") if p.strip() != ""]
-                elem = int if key == "h_grid" else float
-                kwargs[key] = tuple(elem(p) for p in parts)
-            elif isinstance(default, bool):
-                kwargs[key] = str(value).lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
-                kwargs[key] = int(value)
-            elif isinstance(default, float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"bad config for {cls.__name__}: {exc}") from None
-
-
-def normal_config_from_mapping(mapping) -> NormalLocationConfig:
-    return _coerce_mapping(NormalLocationConfig, mapping)
-
-
-def did_config_from_mapping(mapping) -> DidConfig:
-    return _coerce_mapping(DidConfig, mapping)
-
-
 # ---------------------------------------------------------------------------
 # Normal location study
 # ---------------------------------------------------------------------------
@@ -306,7 +222,7 @@ def _normal_block(cfg: NormalLocationConfig, lo: int, hi: int):
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
     count_max = design.n_assignments - entry.order_index
     t_crit = stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha)
-    sig = cfg.sigmas()
+    sig = _sigmas(cfg, cfg.h)
 
     z = np.empty((hi - lo, q))
     checksum = 0
@@ -337,19 +253,8 @@ def run_normal_location_study(cfg: NormalLocationConfig,
         raise ContractError("the group t-test needs q1 >= 2 and q0 >= 2")
     counts, checksum = _run_blocks(_normal_block, cfg, workers,
                                    (len(cfg.mu1_grid), 2))
-    reps = cfg.replications
-    rows = []
-    for gi, mu1 in enumerate(cfg.mu1_grid):
-        for mi, method in enumerate(_METHODS_NORMAL):
-            rate = counts[gi, mi] / reps
-            rows.append((mu1, cfg.h, method, rate,
-                         math.sqrt(rate * (1.0 - rate) / reps)))
-    meta = _config_metadata(cfg)
-    meta["bar_alpha"] = format(entry.bar_alpha, ".10g")
-    meta["order_index"] = str(entry.order_index)
-    meta["data_checksum"] = f"{checksum:08x}"
-    return ResultTable(("mu1", "h", "method", "rejection_rate", "mc_se"),
-                       tuple(rows), meta)
+    return _result_table(cfg, entry, {"mu1": cfg.mu1_grid, "h": (cfg.h,)},
+                         _METHODS_NORMAL, counts, checksum, {})
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +347,7 @@ def _did_sub_block(cfg: DidConfig, lo: int, hi: int):
     counts = np.zeros((len(cfg.h_grid), len(cfg.delta_grid), 4),
                       dtype=np.int64)
     for hi_idx, h in enumerate(cfg.h_grid):
-        sig = cfg.sigmas(h)
+        sig = _sigmas(cfg, h)
         x1 = cfg.gamma * itd + sig * zw
         x2 = sig * zx2
         x3 = sig * zx3
@@ -489,23 +394,11 @@ def run_did_study(cfg: DidConfig, workers: int = 1) -> ResultTable:
     counts, checksum = _run_blocks(
         _did_block, cfg, workers,
         (len(cfg.h_grid), len(cfg.delta_grid), 4))
-    reps = cfg.replications
-    rows = []
-    for hi_idx, h in enumerate(cfg.h_grid):
-        for di, delta in enumerate(cfg.delta_grid):
-            for mi, method in enumerate(_METHODS_DID):
-                rate = counts[hi_idx, di, mi] / reps
-                rows.append((h, delta, method, rate,
-                             math.sqrt(rate * (1.0 - rate) / reps)))
-    meta = _config_metadata(cfg)
-    meta["bar_alpha"] = format(entry.bar_alpha, ".10g")
-    meta["order_index"] = str(entry.order_index)
-    meta["pooled_columns"] = " ".join(POOLED_COLUMNS)
-    meta["dof_adjustment"] = str(
-        Fraction(q * t - 1, 1) * q / Fraction((q * t - 6) * (q - 1)))
-    meta["data_checksum"] = f"{checksum:08x}"
-    return ResultTable(("h", "delta", "method", "rejection_rate", "mc_se"),
-                       tuple(rows), meta)
+    dof = Fraction(q * t - 1, 1) * q / Fraction((q * t - 6) * (q - 1))
+    return _result_table(
+        cfg, entry, {"h": cfg.h_grid, "delta": cfg.delta_grid}, _METHODS_DID,
+        counts, checksum, {"pooled_columns": " ".join(POOLED_COLUMNS),
+                           "dof_adjustment": str(dof)})
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +434,20 @@ def _run_blocks(block_fn, cfg, workers, counts_shape):
     return counts, checksum
 
 
-def _config_metadata(cfg) -> dict:
+def _result_table(cfg, entry, grids: dict, methods, counts, checksum,
+                  extra: dict) -> ResultTable:
+    """One row per grid cell and method, cells in the row-major order of
+    the grids, which is the order of the leading axes of counts (last
+    axis: method).  Metadata: the study, every config field, the
+    adjustment, `extra`, then the data checksum."""
+    reps = cfg.replications
+    rows = []
+    for cell, cell_counts in zip(itertools.product(*grids.values()),
+                                 counts.reshape(-1, len(methods))):
+        for method, count in zip(methods, cell_counts):
+            rate = count / reps
+            rows.append((*cell, method, rate,
+                         math.sqrt(rate * (1.0 - rate) / reps)))
     meta = {"study": type(cfg).__name__}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -549,4 +455,9 @@ def _config_metadata(cfg) -> dict:
             meta[f.name] = ",".join(_fmt(v) for v in value)
         else:
             meta[f.name] = _fmt(value)
-    return meta
+    meta["bar_alpha"] = format(entry.bar_alpha, ".10g")
+    meta["order_index"] = str(entry.order_index)
+    meta.update(extra)
+    meta["data_checksum"] = f"{checksum:08x}"
+    return ResultTable((*grids, "method", "rejection_rate", "mc_se"),
+                       tuple(rows), meta)

@@ -23,14 +23,13 @@ from clusterperm.estimators import (
     binary_choice_cluster_estimates,
     per_cluster_ols,
 )
+from clusterperm import permtest
 from clusterperm.permkit import Design, RngStream, sample_assignments, weight_matrix
 from clusterperm.permtest import (
     ClusterEstimates,
     adjusted_test,
     lookup_bar_alpha,
-    max_characterization,
     size_bound,
-    tabulated_cells,
 )
 from clusterperm.power import PowerSpec, power_lower_bound
 from clusterperm.simharness import (
@@ -93,6 +92,35 @@ def _stats_matrix(x: np.ndarray, design: Design) -> np.ndarray:
 
 
 # =========================================================================
+# helpers
+# =========================================================================
+
+def _tabulated_cells() -> list[tuple[float, int, int, str]]:
+    """Every nonblank cell of the embedded table as (alpha, q1, q0,
+    printed string)."""
+    return [(float(key), q1, q0, printed)
+            for key, cells in permtest._BAR_ALPHA_TABLE.items()
+            for (q1, q0), printed in cells.items()]
+
+
+def _max_event(x: ClusterEstimates) -> bool:
+    """Every treated entry strictly exceeds every control entry: the
+    event the power lower bound and the worst-case size analysis are
+    built on."""
+    return float(x.treated_values.min()) > float(x.control_values.max())
+
+
+def _rate(table, method: str, **cell) -> float:
+    """The rejection_rate of the unique study-table row matching the
+    given method and cell coordinates."""
+    want = dict(cell, method=method)
+    hits = [r for r in table.rows
+            if all(r[table.columns.index(k)] == v for k, v in want.items())]
+    assert len(hits) == 1, f"{len(hits)} rows match {want}"
+    return float(hits[0][table.columns.index("rejection_rate")])
+
+
+# =========================================================================
 # criteria
 # =========================================================================
 
@@ -107,7 +135,7 @@ def test_criterion_01_size_bound_reference_grid():
 
 def test_criterion_02_embedded_alpha_grid_consistency():
     start = time.perf_counter()
-    cells = tabulated_cells()
+    cells = _tabulated_cells()
     assert len(cells) == 145
     for alpha, q1, q0, printed in cells:
         entry = lookup_bar_alpha(q1, q0, alpha)
@@ -194,11 +222,11 @@ def test_criterion_05_normal_location_study_rates():
         cfg = NormalLocationConfig(h=h, mu1_grid=grid,
                                    replications=20_000, seed=0)
         table = run_normal_location_study(cfg, workers=4)
-        size = table.rate("adjusted-permutation", mu1=0.0)
+        size = _rate(table, "adjusted-permutation", mu1=0.0)
         assert 0.015 <= size <= 0.055, f"h={h}: size {size:.4f}"
         if h == 1:
-            power = table.rate("adjusted-permutation", mu1=2.5)
-            group_t = table.rate("group-t", mu1=2.5)
+            power = _rate(table, "adjusted-permutation", mu1=2.5)
+            group_t = _rate(table, "group-t", mu1=2.5)
             assert abs(power - NORMAL_POWER_AT_2_5) <= 0.015, power
             assert abs(group_t - NORMAL_GROUP_T_AT_2_5) <= 0.010, group_t
     assert time.perf_counter() - start <= 600.0
@@ -210,11 +238,11 @@ def test_criterion_06_did_study_rates():
                     replications=10_000, seed=0)
     table = run_did_study(cfg, workers=4)
     for (method, delta), target in DID_H1_TARGETS.items():
-        rate = table.rate(method, h=1, delta=delta)
+        rate = _rate(table, method, h=1, delta=delta)
         assert abs(rate - target) <= DID_TOLERANCE, (
             f"{method} at delta={delta}: {rate:.4f} vs {target:.4f}")
     # pooled cluster t over-rejects when 7 of 12 clusters are volatile
-    assert table.rate("pooled-cluster-t", h=7, delta=0.0) > 0.06
+    assert _rate(table, "pooled-cluster-t", h=7, delta=0.0) > 0.06
     assert time.perf_counter() - start <= 1800.0
 
 
@@ -246,7 +274,7 @@ def test_criterion_07_power_bound_matches_monte_carlo():
 
 def test_criterion_08_duality_and_max_event_characterization():
     # --- p-value / critical-value duality on 20 tabulated levels ----------
-    cells = [c for c in tabulated_cells() if c[3] != "*"]
+    cells = [c for c in _tabulated_cells() if c[3] != "*"]
     cells.sort(key=lambda c: (math.comb(c[1] + c[2], c[1]), c[0]))
     levels = cells[:20]
     assert len(levels) == 20
@@ -278,7 +306,7 @@ def test_criterion_08_duality_and_max_event_characterization():
     stats = _stats_matrix(x, design)
     is_strict_max = stats[:, 0] > stats[:, 1:].max(axis=1)
     for row, expected in zip(x, is_strict_max):
-        assert max_characterization(ClusterEstimates(design, row)) == bool(
+        assert _max_event(ClusterEstimates(design, row)) == bool(
             expected)
 
     # --- exact-tie battery on dyadic weights ------------------------------
@@ -292,7 +320,7 @@ def test_criterion_08_duality_and_max_event_characterization():
     for row in tie_rows:
         stats = row @ weight_matrix(tie_design)
         expected = stats[0] > stats[1:].max()
-        assert max_characterization(
+        assert _max_event(
             ClusterEstimates(tie_design, row)) == bool(expected)
 
 

@@ -241,6 +241,29 @@ class TestTestCommand:
         assert payload["n_assignments"] == 70
         assert payload["mode"] == "intercept"
 
+    def test_covariate_scale_does_not_decide_rank(self, capsys, tmp_path):
+        # x1 scaled by 1e-12 exited 1 with RankDeficientError: rank was
+        # judged against the largest pivoted column, not each column's norm
+        payloads = []
+        for scale in (1.0, 1e-12):
+            gen = RngStream(29).generator()
+            lines = ["cluster_id,treated,outcome,x1"]
+            for k in range(8):
+                for _ in range(30):
+                    x, e = gen.standard_normal(2)
+                    lines.append(f"c{k},{int(k < 4)},{0.5 * x + e:.17g},"
+                                 f"{scale * x:.17g}")
+            path = tmp_path / "obs.csv"
+            path.write_text("\n".join(lines) + "\n")
+            code, out, err = run_cli(capsys, "test", "--input", str(path),
+                                     "--mode", "intercept", "--alpha", "0.10",
+                                     "--json")
+            assert code == 0, err
+            payloads.append(json.loads(out))
+        assert payloads[1]["statistic"] == pytest.approx(
+            payloads[0]["statistic"], rel=1e-9)
+        assert payloads[1]["decision"] == payloads[0]["decision"]
+
     def test_sampled_assignments_reproducible_by_seed(self, capsys,
                                                       tmp_path):
         values = RngStream(5).generator().standard_normal(12)
@@ -523,6 +546,22 @@ class TestSimulateCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError"
         assert "abc" in error["message"]
+
+    def test_non_integer_count_exits_two_naming_key_and_value(
+            self, capsys, tmp_path):
+        # --param and config files share one coercion
+        cfg = tmp_path / "frac.cfg"
+        cfg.write_text("replications=1.5\n")
+        runs = {"replications": ("simulate", "--study", "normal", "--config",
+                                 str(cfg), "--out", str(tmp_path / "x.csv")),
+                "R": ("alpha", "--q1", "4", "--q0", "4", "--alpha", "0.1",
+                      "--calibrate", "exhaustive", "--param", "R=1.5")}
+        for key, argv in runs.items():
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "DomainError"
+            assert key in error["message"] and "1.5" in error["message"]
 
     @pytest.mark.parametrize("study", ["normal", "did"])
     def test_infinite_sigma_exits_two(self, capsys, tmp_path, study):

@@ -35,7 +35,7 @@ from clusterperm.estimators import (
     load_estimates,
     per_cluster_ols,
 )
-from clusterperm.permtest import comparison_of_means
+from clusterperm.permtest import adjusted_test, comparison_of_means
 
 
 # =========================================================================
@@ -232,6 +232,28 @@ class TestPerClusterOls:
                                 [x, x ** 2]), cov]))
         with pytest.raises(RankDeficientError, match="bad"):
             per_cluster_ols(ds, EstimatorSpec("intercept"))
+
+    @given(k=st.integers(-60, 60), column=st.integers(0, 1),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_covariate_scale_does_not_move_intercepts(self, k, column, seed):
+        # rank was judged against the largest pivoted column, so a small
+        # enough covariate made every cluster rank deficient
+        rng = np.random.default_rng(seed)
+        q, n = 8, 15
+        ids = np.repeat([f"c{i}" for i in range(q)], n)
+        treated = np.repeat([1] * 4 + [0] * 4, n)
+        x = rng.normal(size=(q * n, 2))
+        y = 3.0 + x @ rng.normal(size=2) + rng.normal(size=q * n)
+        scaled = x.copy()
+        scaled[:, column] *= 2.0 ** k
+        spec = EstimatorSpec("intercept")
+        base = per_cluster_ols(ClusterDataset(ids, treated, y, x), spec)
+        moved = per_cluster_ols(ClusterDataset(ids, treated, y, scaled), spec)
+        np.testing.assert_allclose(moved.values, base.values, rtol=1e-12,
+                                   atol=0.0)
+        assert (adjusted_test(moved, 0.10).decision
+                == adjusted_test(base, 0.10).decision)
 
     def test_insufficient_rows_names_cluster(self):
         ds = ClusterDataset(["tiny", "c", "c", "c"], [1, 0, 0, 0],

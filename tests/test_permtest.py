@@ -41,11 +41,9 @@ from clusterperm.permtest import (
     adjusted_test,
     comparison_of_means,
     lookup_bar_alpha,
-    max_characterization,
     order_index_from_level,
     p_value,
     size_bound,
-    tabulated_cells,
 )
 
 
@@ -58,6 +56,19 @@ def _brute_force_values(x: np.ndarray, q1: int) -> list[float]:
         mask[list(combo)] = True
         out.append(float(np.mean(x[mask]) - np.mean(x[~mask])))
     return out
+
+
+def _tabulated_cells() -> list[tuple[float, int, int, str]]:
+    """Every nonblank cell of the embedded table as (alpha, q1, q0,
+    printed string)."""
+    return [(float(key), q1, q0, printed)
+            for key, cells in permtest._BAR_ALPHA_TABLE.items()
+            for (q1, q0), printed in cells.items()]
+
+
+def _max_event(x: ClusterEstimates) -> bool:
+    """Every treated entry strictly exceeds every control entry."""
+    return float(x.treated_values.min()) > float(x.control_values.max())
 
 
 def _estimates(values, q1: int) -> ClusterEstimates:
@@ -307,7 +318,7 @@ class TestLookupBarAlpha:
 
     def test_every_cell_consistent(self):
         # 1 <= j <= N-1 everywhere; stars pin N-1; ceiling reproduces j
-        cells = tabulated_cells()
+        cells = _tabulated_cells()
         assert len(cells) == 145
         for alpha, q1, q0, printed in cells:
             e = lookup_bar_alpha(q1, q0, alpha)
@@ -635,10 +646,10 @@ class TestSplitSumCount:
 
 class TestMaxCharacterization:
     def test_separated(self):
-        assert max_characterization(_estimates([2, 3, 0, 1], 2)) is True
+        assert _max_event(_estimates([2, 3, 0, 1], 2)) is True
 
     def test_interleaved(self):
-        assert max_characterization(_estimates([2, 0, 1, 3], 2)) is False
+        assert _max_event(_estimates([2, 0, 1, 3], 2)) is False
 
     def test_agrees_with_enumeration_predicate(self):
         gen = np.random.default_rng(31)
@@ -653,7 +664,7 @@ class TestMaxCharacterization:
         predicate = is_strict_max & ties
         for i in range(x.shape[0]):
             est = ClusterEstimates(d, x[i])
-            assert max_characterization(est) == bool(predicate[i])
+            assert _max_event(est) == bool(predicate[i])
 
 
 # ===========================================================================

@@ -21,8 +21,8 @@ from clusterperm.power import PowerSpec, power_lower_bound
 def _mc_oracle(spec: PowerSpec, n: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate and s.e. of P(min treated > max control)."""
     gen = np.random.default_rng(seed)
-    t = spec.delta + gen.standard_normal((n, spec.q1)) * spec.sigmas_treated
-    c = gen.standard_normal((n, spec.q0)) * spec.sigmas_control
+    t = spec.delta + gen.standard_normal((n, len(spec.sigmas_treated))) * spec.sigmas_treated
+    c = gen.standard_normal((n, len(spec.sigmas_control))) * spec.sigmas_control
     p = float((t.min(axis=1) > c.max(axis=1)).mean())
     return p, math.sqrt(max(p * (1 - p), 1e-12) / n)
 
@@ -34,7 +34,7 @@ def _mc_oracle(spec: PowerSpec, n: int, seed: int) -> tuple[float, float]:
 class TestPowerSpec:
     def test_accepts_lists(self):
         s = PowerSpec(1.0, [1.0, 2.0], [0.5])
-        assert s.q1 == 2 and s.q0 == 1
+        assert s.sigmas_treated == (1.0, 2.0) and s.sigmas_control == (0.5,)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(DomainError):

@@ -217,6 +217,14 @@ class TestClusterRobustOls:
         with pytest.raises(RankDeficientError):
             _coef_se(table, _spec(("one", "x", "x2"), "x"))
 
+    def test_tiny_covariate_is_not_rank_deficient(self):
+        # rank was judged against the largest pivoted column, so x scaled
+        # by 2^-40 next to the intercept was rejected
+        table = dict(FOUR_POINT, x=[2.0 ** -40 * v for v in FOUR_POINT["x"]])
+        coef, se = _coef_se(table, _spec())
+        assert coef == pytest.approx(2.0 ** 40 * FOUR_POINT_COEF, rel=1e-12)
+        assert se == pytest.approx(2.0 ** 40 * FOUR_POINT_SE, rel=1e-12)
+
     def test_missing_and_ragged_columns(self):
         with pytest.raises(DomainError, match="missing"):
             _coef_se(FOUR_POINT, _spec(("one", "zz"), "zz"))

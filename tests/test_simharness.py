@@ -14,6 +14,7 @@ import pytest
 from scipy.signal import lfilter
 
 from clusterperm import simharness as sh
+from clusterperm.cli import config_from_strings, parse_key_value_file
 from clusterperm.errors import (
     ClusterPermError,
     DomainError,
@@ -32,9 +33,6 @@ from clusterperm.simharness import (
     DidConfig,
     NormalLocationConfig,
     ResultTable,
-    did_config_from_mapping,
-    normal_config_from_mapping,
-    parse_key_value_file,
     run_did_study,
     run_normal_location_study,
 )
@@ -52,10 +50,21 @@ AR1_HAND = (1.0, 2.5, 4.25)
 AR1_STATIONARY_VAR = 4.0 / 3.0
 
 
+def _rate(table: ResultTable, method: str, **cell) -> float:
+    """The rejection_rate of the unique row of table matching the given
+    method and cell coordinates."""
+    want = dict(cell, method=method)
+    hits = [r for r in table.rows
+            if all(r[table.columns.index(k)] == v for k, v in want.items())]
+    if len(hits) != 1:
+        raise LookupError(f"{len(hits)} rows match {want}")
+    return float(hits[0][table.columns.index("rejection_rate")])
+
+
 def _normal_draw(cfg: NormalLocationConfig, rep: int) -> np.ndarray:
     """The documented per-replication draw for the location study."""
     z = RngStream(cfg.seed, rep).generator().standard_normal(cfg.q1 + cfg.q0)
-    return z * cfg.sigmas()
+    return z * sh._sigmas(cfg, cfg.h)
 
 
 def _did_draw(cfg: DidConfig, rep: int):
@@ -95,7 +104,7 @@ def _did_reference_decisions(cfg: DidConfig, rep: int):
     treated = np.repeat(d_k, t)
     out = np.zeros((len(cfg.h_grid), len(cfg.delta_grid), 4), dtype=np.int64)
     for hi, h in enumerate(cfg.h_grid):
-        sig = cfg.sigmas(h)
+        sig = sh._sigmas(cfg, h)
         x1 = cfg.gamma * itd + sig * zw
         x2 = sig * zx2
         x3 = sig * zx3
@@ -139,10 +148,10 @@ class TestNormalLocationConfig:
 
     def test_sigma_pattern_puts_high_values_last(self):
         cfg = NormalLocationConfig(q1=3, q0=3, h=2)
-        assert cfg.sigmas().tolist() == [1.0, 1.0, 1.0, 1.0, 100.0, 100.0]
+        assert sh._sigmas(cfg, cfg.h).tolist() == [1.0] * 4 + [100.0] * 2
 
     def test_h_zero_means_homogeneous(self):
-        assert NormalLocationConfig(h=0).sigmas().tolist() == [1.0] * 12
+        assert sh._sigmas(NormalLocationConfig(h=0), 0).tolist() == [1.0] * 12
 
     @pytest.mark.parametrize("kwargs", [
         {"q1": 0}, {"alpha": 0.0}, {"alpha": 1.0}, {"h": 13}, {"h": -1},
@@ -154,6 +163,14 @@ class TestNormalLocationConfig:
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DomainError):
             NormalLocationConfig(**kwargs)
+
+    def test_non_integer_h_rejected(self):
+        with pytest.raises(DomainError, match="h must be an integer"):
+            NormalLocationConfig(h=1.5)
+
+    def test_integral_counts_kept_as_int(self):
+        cfg = NormalLocationConfig(q1=5.0, q0=np.int64(5), replications=8.0)
+        assert [type(v) for v in (cfg.q1, cfg.q0, cfg.replications)] == [int] * 3
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -170,8 +187,8 @@ class TestDidConfig:
 
     def test_sigma_pattern_per_h(self):
         cfg = DidConfig(q1=2, q0=2, h_grid=(0, 3))
-        assert cfg.sigmas(0).tolist() == [1.0] * 4
-        assert cfg.sigmas(3).tolist() == [1.0, 20.0, 20.0, 20.0]
+        assert sh._sigmas(cfg, 0).tolist() == [1.0] * 4
+        assert sh._sigmas(cfg, 3).tolist() == [1.0, 20.0, 20.0, 20.0]
 
     @pytest.mark.parametrize("kwargs", [
         {"rho": 1.0}, {"rho": -1.5}, {"burn_in": -1}, {"bootstrap_B": 0},
@@ -184,6 +201,13 @@ class TestDidConfig:
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DomainError):
             DidConfig(**kwargs)
+
+    def test_non_integer_h_grid_rejected(self):
+        # entries were truncated to int, so (1.5,) ran as h = 1
+        with pytest.raises(DomainError, match="h_grid entries"):
+            DidConfig(h_grid=(1.5,))
+        with pytest.raises(DomainError, match="h_grid entries"):
+            DidConfig(h_grid=(1, 2.0))
 
 
 # =========================================================================
@@ -244,15 +268,15 @@ class TestResultTable:
 
     def test_rate_lookup(self):
         t = self._table()
-        assert t.rate("group-t", mu1=0.0) == 0.009
-        assert t.rate("adjusted-permutation", mu1=2.5, h=1) == 0.5
+        assert _rate(t, "group-t", mu1=0.0) == 0.009
+        assert _rate(t, "adjusted-permutation", mu1=2.5, h=1) == 0.5
 
     def test_rate_requires_unique_match(self):
         t = self._table()
-        with pytest.raises(DomainError):
-            t.rate("adjusted-permutation")        # two rows match
-        with pytest.raises(DomainError):
-            t.rate("group-t", mu1=9.0)            # no row matches
+        with pytest.raises(LookupError):
+            _rate(t, "adjusted-permutation")        # two rows match
+        with pytest.raises(LookupError):
+            _rate(t, "group-t", mu1=9.0)            # no row matches
 
     def test_write_csv_roundtrip(self, tmp_path):
         path = tmp_path / "rates.csv"
@@ -301,14 +325,16 @@ class TestParseKeyValueFile:
 
 class TestConfigFromMapping:
     def test_normal_mapping_coerces_types(self):
-        cfg = normal_config_from_mapping(
+        cfg = config_from_strings(
+            NormalLocationConfig,
             {"q1": "5", "q0": "5", "mu1_grid": "0,2.5,5", "h": "2",
              "replications": "100", "seed": "9"})
         assert cfg.q1 == 5 and cfg.h == 2 and cfg.seed == 9
         assert cfg.mu1_grid == (0.0, 2.5, 5.0)
 
     def test_did_mapping_coerces_grids(self):
-        cfg = did_config_from_mapping(
+        cfg = config_from_strings(
+            DidConfig,
             {"delta_grid": "0,2", "h_grid": "1,7", "bootstrap_B": "99",
              "rho": "0.25"})
         assert cfg.delta_grid == (0.0, 2.0)
@@ -318,11 +344,11 @@ class TestConfigFromMapping:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DomainError, match="unknown config key"):
-            normal_config_from_mapping({"qq1": "5"})
+            config_from_strings(NormalLocationConfig, {"qq1": "5"})
 
     def test_bad_value_rejected(self):
         with pytest.raises((DomainError, ValueError)):
-            did_config_from_mapping({"rho": "fast"})
+            config_from_strings(DidConfig, {"rho": "fast"})
 
 
 # =========================================================================
@@ -345,8 +371,8 @@ class TestNormalLocationStudy:
                 ap += adjusted_test(est, cfg.alpha, side="right").decision == "reject"
                 im += im_test(est, cfg.alpha, side="right").decision == "reject"
             reps = cfg.replications
-            assert table.rate("adjusted-permutation", mu1=mu1) == ap / reps
-            assert table.rate("group-t", mu1=mu1) == im / reps
+            assert _rate(table, "adjusted-permutation", mu1=mu1) == ap / reps
+            assert _rate(table, "group-t", mu1=mu1) == im / reps
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setattr(sh, "_BLOCK", 16)
@@ -378,10 +404,10 @@ class TestNormalLocationStudy:
         cfg = NormalLocationConfig(mu1_grid=(0.0, 2.5), replications=2000,
                                    seed=1)
         table = run_normal_location_study(cfg, workers=2)
-        size = table.rate("adjusted-permutation", mu1=0.0)
+        size = _rate(table, "adjusted-permutation", mu1=0.0)
         assert 0.01 <= size <= 0.06
-        ap = table.rate("adjusted-permutation", mu1=2.5)
-        im = table.rate("group-t", mu1=2.5)
+        ap = _rate(table, "adjusted-permutation", mu1=2.5)
+        im = _rate(table, "group-t", mu1=2.5)
         assert ap > 0.45 and im < 0.12
 
     def test_level_without_feasible_adjustment_fails_fast(self):
@@ -464,7 +490,8 @@ class TestDidStudy:
             for d in (0.0, 2.0):
                 for m in ("adjusted-permutation", "group-t",
                           "pooled-cluster-t", "wild-cluster-bootstrap"):
-                    assert t1.rate(m, h=h, delta=d) == t2.rate(m, h=h, delta=d)
+                    assert (_rate(t1, m, h=h, delta=d)
+                            == _rate(t2, m, h=h, delta=d))
 
     def test_moderate_replication_anchors(self):
         cfg = DidConfig(replications=1500, h_grid=(1,),
@@ -473,12 +500,12 @@ class TestDidStudy:
         # Monte Carlo windows around the published 10,000-replication
         # rates: size cells near 0.02-0.04, the delta=2 power ordering
         # WCB > BCH ~ AP > IM.
-        assert table.rate("adjusted-permutation", h=1, delta=0.0) < 0.05
-        assert table.rate("wild-cluster-bootstrap", h=1, delta=0.0) < 0.07
-        ap = table.rate("adjusted-permutation", h=1, delta=2.0)
-        im = table.rate("group-t", h=1, delta=2.0)
-        bch = table.rate("pooled-cluster-t", h=1, delta=2.0)
-        wcb = table.rate("wild-cluster-bootstrap", h=1, delta=2.0)
+        assert _rate(table, "adjusted-permutation", h=1, delta=0.0) < 0.05
+        assert _rate(table, "wild-cluster-bootstrap", h=1, delta=0.0) < 0.07
+        ap = _rate(table, "adjusted-permutation", h=1, delta=2.0)
+        im = _rate(table, "group-t", h=1, delta=2.0)
+        bch = _rate(table, "pooled-cluster-t", h=1, delta=2.0)
+        wcb = _rate(table, "wild-cluster-bootstrap", h=1, delta=2.0)
         assert abs(ap - 0.5541) < 0.05
         assert abs(im - 0.3142) < 0.05
         assert abs(bch - 0.5631) < 0.05

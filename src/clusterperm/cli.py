@@ -21,6 +21,7 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -157,6 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process; parsing leaves it as it
+    was (append actions copy their default list)."""
+    return build_parser()
+
+
 def parse_key_value_file(path) -> dict[str, str]:
     """Flat key=value config file: one pair per line, '#' comments and
     blank lines ignored."""
@@ -283,6 +291,7 @@ def _cmd_test(ns):
     payload["bar_alpha_source"] = entry.source
     if ns.calibrate:
         payload["calibration_seed"] = seed
+        payload["diagnostics"] = entry.diagnostics
     if seed is not None:
         payload["seed"] = seed
     p_shown = {"right": outcome.p_value_right,
@@ -380,9 +389,8 @@ def _csv_record(payload: dict) -> str:
 def dispatch(argv=None) -> int:
     """Parse argv, run the subcommand, print its output.  Returns the
     process exit code instead of raising."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         if getattr(ns, "json", False) and getattr(ns, "csv", False):
             raise _UsageError("choose at most one of --json / --csv")
         payload, text = _HANDLERS[ns.command](ns)

@@ -11,7 +11,9 @@ sample is drawn with replacement).  `check_assignments` enforces the
 contract; `enumerate_assignments` lists the full collection in
 lexicographic order, identity first; `count_at_or_above` is the test's
 tie rule on an explicit collection.  `SubsetSums` counts and selects
-over the full collection of one data vector without listing it.
+over the full collection of one data vector without listing it;
+`IntegerSums` does the same for integer data by a dynamic program, and
+`enumeration_sums` picks between the two.
 `relabeling_counts` is the one counting kernel for many data rows at
 once: x @ W in cache-sized row blocks, or `SubsetSums` per row when
 the full enumeration's weight matrix is above the cap.
@@ -36,14 +38,17 @@ _PROBE_SAMPLE = 1 << 12  # sums sampled to place a selection probe
 _PRODUCT_BYTES = 1 << 21  # bytes of x @ W per counting block
 
 
-def positive_int(name: str, value) -> int:
-    """value as an int; DomainError unless it is a positive integer."""
+def positive_int(name: str, value, least: int = 1) -> int:
+    """value as an int; DomainError unless it is an integer >= least
+    (a positive integer by default)."""
     try:
-        ok = not isinstance(value, bool) and int(value) == value and value >= 1
+        ok = (not isinstance(value, bool) and int(value) == value
+              and value >= least)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        what = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
     return int(value)
 
 
@@ -211,6 +216,7 @@ class SubsetSums:
                 f"half at q={q}, above the cap of {DEFAULT_ENUMERATION_CAP}; "
                 "pass sampled assignments instead")
         x = np.asarray(x, dtype=float)
+        self._x = x
         left, lsize = _half_sums(x[:h])
         right, rsize = _half_sums(x[h:])
         self._h = h
@@ -319,6 +325,82 @@ class SubsetSums:
                         + [self._h + b for b in range(right.bit_length())
                            if right >> b & 1], dtype=np.intp)
 
+    def sum_at(self, j: int) -> float:
+        """The j-th smallest sum (1-based), summed over `subset_at(j)`."""
+        return float(self._x[self.subset_at(j)].sum())
+
+
+class IntegerSums:
+    """The treated-entry sums of all C(q, q1) assignments of an integer
+    vector x, counted by one dynamic program over (subset size, sum):
+    Pagano & Tritchler 1983, JASA 78; Streitberg & Roehmel 1986.
+
+    counts[k, s] is the number of k-subsets of the clusters seen so far
+    whose sum is s + k * min(x).  Each cluster adds its shifted row to
+    the next, one vector add, for the sizes k <= q1 that can still grow
+    to q1; so every count is a term of Vandermonde's sum for C(q, q1) and
+    int64 holds it while C(q, q1) < 2^63 (Python ints past that).  The
+    caller ensures every subset sum is an integer below 2^53 (see
+    `enumeration_sums`), so the sums are exact in doubles and ties are
+    exact.
+    """
+
+    def __init__(self, design: Design, x: np.ndarray):
+        q, q1 = design.q, design.q1
+        x = np.asarray(x, dtype=float)
+        low = int(x.min())
+        y = x.astype(np.int64) - low
+        span = _table_span(x, q1)
+        dtype = np.int64 if design.n_assignments < 1 << 63 else object
+        counts = np.zeros((q1 + 1, span), dtype=dtype)
+        counts[0, 0] = 1
+        for i, v in enumerate(y.tolist()):
+            lo, hi = max(1, q1 - (q - 1 - i)), min(i + 1, q1)
+            counts[lo:hi + 1, v:] = (counts[lo:hi + 1, v:]
+                                     + counts[lo - 1:hi, :span - v])
+        self._n = design.n_assignments
+        self._offset = q1 * low
+        self._below = np.cumsum(counts[q1])  # [s]: sums <= s + offset
+        self.identity = float(x[:q1].sum())
+
+    def _count_upto(self, s: int) -> int:
+        """#{assignments with sum <= s}, s an integer."""
+        s -= self._offset
+        if s < 0:
+            return 0
+        return int(self._below[min(s, len(self._below) - 1)])
+
+    def count_at_least(self, s: float) -> int:
+        """#{assignments with sum >= s}."""
+        return self._n - self._count_upto(math.ceil(s) - 1)
+
+    def count_at_most(self, s: float) -> int:
+        """#{assignments with sum <= s}."""
+        return self._count_upto(math.floor(s))
+
+    def sum_at(self, j: int) -> float:
+        """The j-th smallest sum (1-based)."""
+        return float(int(np.searchsorted(self._below, j)) + self._offset)
+
+
+def _table_span(x: np.ndarray, q1: int) -> int:
+    """The columns of the IntegerSums table of x: one more than the
+    largest sum of q1 entries of x - min(x)."""
+    return int((np.sort(x)[len(x) - q1:] - x.min()).sum()) + 1
+
+
+def enumeration_sums(design: Design, x) -> IntegerSums | SubsetSums:
+    """The treated-entry sums of the full enumeration of x: `IntegerSums`
+    when x holds integers whose every subset sum is exact in doubles and
+    whose (q1 + 1) x span table fits under the cap, else `SubsetSums`
+    (which raises CapacityError past q = 46)."""
+    x = np.asarray(x, dtype=float)
+    if (_exact_integers(x, design)
+            and (design.q1 + 1) * _table_span(x, design.q1)
+            <= DEFAULT_ENUMERATION_CAP):
+        return IntegerSums(design, x)
+    return SubsetSums(design, x)
+
 
 def sample_assignments(design: Design, m: int,
                        rng: RngStream | None = None) -> np.ndarray:
@@ -376,7 +458,8 @@ def _enumeration_weights(design: Design) -> np.ndarray:
 
 def _exact_integers(rows: np.ndarray, design: Design) -> bool:
     """Whether rows are integers small enough that every partial sum of
-    x @ (q1*q0*W) is an integer their dtype represents exactly."""
+    x @ (q1*q0*W), and so every subset sum of a row, is an integer their
+    dtype represents exactly."""
     if not float(rows.flat[0]).is_integer():  # the usual, quick answer
         return False
     top = design.q * max(design.q1, design.q0) * float(np.abs(rows).max())

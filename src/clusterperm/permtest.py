@@ -28,9 +28,9 @@ from .errors import (
 )
 from .permkit import (
     Design,
-    SubsetSums,
     check_assignments,
     count_at_or_above,
+    enumeration_sums,
     positive_int,
 )
 
@@ -171,9 +171,10 @@ def _relabelings(x: np.ndarray, design: Design, assignments) -> _Relabelings:
 
     T(gx) depends on g only through the treated-entry sum, so each value
     is coef * sum(treated) - sum(all)/q0 with coef = 1/q1 + 1/q0.  The
-    full enumeration is counted on those sums by `SubsetSums`; its nth
-    recomputes the value of the assignment found there with the same
-    arithmetic as an explicit collection.
+    full enumeration is counted on those sums by `enumeration_sums`, a
+    (size, sum) table on integer data and split subset sums otherwise;
+    its nth applies the same arithmetic as an explicit collection to the
+    sum it selects.
     """
     coef = 1.0 / design.q1 + 1.0 / design.q0
     base = float(x.sum()) / design.q0
@@ -184,11 +185,11 @@ def _relabelings(x: np.ndarray, design: Design, assignments) -> _Relabelings:
     t_obs = float(value(np.arange(design.q1)))
     idx, source = _collection(design, assignments)
     if idx is None:
-        sums = SubsetSums(design, x)
+        sums = enumeration_sums(design, x)
         return _Relabelings(
             design.n_assignments, t_obs, sums.count_at_least(sums.identity),
             sums.count_at_most(sums.identity),
-            lambda i: float(value(sums.subset_at(i))), source)
+            lambda i: coef * sums.sum_at(i) - base, source)
     # row blocks bound the (rows, q1) gather; each row's sum is unchanged
     vals = np.empty(len(idx))
     for lo in range(0, len(idx), _VALUE_ROWS):

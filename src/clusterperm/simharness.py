@@ -57,6 +57,16 @@ _METHODS_DID = ("adjusted-permutation", "group-t", "pooled-cluster-t",
                 "wild-cluster-bootstrap")
 
 
+def _check_study(cfg):
+    """The adjustment for the study's design and level, or an error if
+    it has none (fails fast, before any draw) or the group t-test has
+    too few clusters."""
+    entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
+    if min(cfg.q1, cfg.q0) < 2:
+        raise ContractError("the group t-test needs q1 >= 2 and q0 >= 2")
+    return entry
+
+
 def _check_common(cfg, *counts):
     """Check the fields both studies share and the further positive
     counts named, keeping each count as an int."""
@@ -153,8 +163,8 @@ class DidConfig:
         object.__setattr__(self, "h_grid", tuple(self.h_grid))
         if not abs(self.rho) < 1.0:
             raise DomainError(f"rho must satisfy |rho| < 1, got {self.rho}")
-        if not (isinstance(self.burn_in, int) and self.burn_in >= 0):
-            raise DomainError("burn_in must be a nonnegative integer")
+        object.__setattr__(self, "burn_in",
+                           positive_int("burn_in", self.burn_in, least=0))
         if not self.delta_grid:
             raise DomainError("delta_grid must be nonempty")
         q = self.q1 + self.q0
@@ -248,9 +258,7 @@ def run_normal_location_study(cfg: NormalLocationConfig,
                               workers: int = 1) -> ResultTable:
     """Rejection frequencies of the adjusted permutation test and the
     group t-test on identical draws, for each mu1 on the grid."""
-    entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)  # fails fast if infeasible
-    if min(cfg.q1, cfg.q0) < 2:
-        raise ContractError("the group t-test needs q1 >= 2 and q0 >= 2")
+    entry = _check_study(cfg)
     counts, checksum = _run_blocks(_normal_block, cfg, workers,
                                    (len(cfg.mu1_grid), 2))
     return _result_table(cfg, entry, {"mu1": cfg.mu1_grid, "h": (cfg.h,)},
@@ -382,9 +390,7 @@ def _did_sub_block(cfg: DidConfig, lo: int, hi: int):
 def run_did_study(cfg: DidConfig, workers: int = 1) -> ResultTable:
     """Rejection frequencies of all four tests on identical panel draws,
     for each (h, delta) grid cell."""
-    entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)  # fails fast if infeasible
-    if min(cfg.q1, cfg.q0) < 2:
-        raise ContractError("the group t-test needs q1 >= 2 and q0 >= 2")
+    entry = _check_study(cfg)
     q, t, *_ = _did_layout(cfg)
     if t < 5:
         raise DomainError("the per-cluster regression needs at least 5 "

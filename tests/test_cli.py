@@ -356,6 +356,8 @@ class TestTestCommand:
                                      0.2, side=side, alpha_entry=entry)
             for key, value in expected.to_json_dict().items():
                 assert payload[key] == value, key
+            assert payload["diagnostics"] == json.loads(
+                json.dumps(entry.diagnostics))
 
     def test_tabulated_level_source(self, capsys, tmp_path):
         path = tmp_path / "est.csv"
@@ -527,6 +529,18 @@ class TestSimulateCommand:
         assert len(perm) == 2
         assert all(0.0 <= float(r[3]) <= 1.0 for r in perm)
 
+    @pytest.mark.parametrize("burn_in", ["-1", "2.5"])
+    def test_bad_burn_in_exits_two(self, capsys, tmp_path, burn_in):
+        cfg = tmp_path / "did.cfg"
+        cfg.write_text(f"replications=2\nburn_in={burn_in}\n")
+        code, _, err = run_cli(capsys, "simulate", "--study", "did",
+                               "--config", str(cfg),
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "burn_in" in error["message"]
+
     def test_unknown_config_key_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("q1=5\nbogus=1\n")
@@ -627,6 +641,22 @@ class TestDispatch:
                                  "--json")
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_repeated_dispatch_keeps_param_lists_apart(self, capsys,
+                                                      monkeypatch):
+        # the parser is built once per process; appended --param values
+        # must not carry over from one call to the next
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "alpha",
+                            lambda ns: (seen.append(ns.param), ({}, ""))[1])
+        for item in ("R=50", "S1=40"):
+            code, _, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                                 "--alpha", "0.1", "--param", item)
+            assert code == 0
+        code, _, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                             "--alpha", "0.1")
+        assert code == 0
+        assert seen == [["R=50"], ["S1=40"], []]
 
     @pytest.mark.parametrize("command", ["test", "simulate"])
     def test_undecodable_input_exits_two_in_c_locale(self, tmp_path,

@@ -14,6 +14,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ from clusterperm.errors import (
 )
 from clusterperm.permkit import (
     Design,
+    IntegerSums,
     RngStream,
     SubsetSums,
+    enumeration_sums,
     sample_assignments,
     weight_matrix,
 )
@@ -234,15 +237,22 @@ class TestPValue:
 
     def test_enumeration_cap(self):
         # 13+13 has C(26, 13) = 10,400,600 relabelings, above the 10M cap
-        # of a listed enumeration; the split-sum count handles it exactly
+        # of a listed enumeration; the full count handles it exactly
         x = np.random.default_rng(13).integers(0, 5, 26)
         counts = _subset_sum_counts(x.tolist(), 13)
         oracle = sum(c for s, c in counts.items() if s >= x[:13].sum())
         assert p_value(ClusterEstimates(Design(13, 13), x)) == \
             oracle / math.comb(26, 13)
-        # 24+24 needs 2^24 subset sums per half, above the cap
+        # 24+24 needs 2^24 split subset sums per half, above the cap, so
+        # non-integer data cannot be counted ...
         with pytest.raises(CapacityError):
-            p_value(ClusterEstimates(Design(24, 24), np.arange(48.0)))
+            p_value(ClusterEstimates(Design(24, 24), np.arange(48.0) + 0.5))
+        # ... while integer data is counted on its (size, sum) table
+        x = np.arange(48.0)
+        counts = _subset_sum_counts(list(range(48)), 24)
+        oracle = sum(c for s, c in counts.items() if s >= x[:24].sum())
+        assert p_value(ClusterEstimates(Design(24, 24), x)) == \
+            oracle / math.comb(48, 24)
 
 
 # ===========================================================================
@@ -638,6 +648,94 @@ class TestSplitSumCount:
                                 alpha_entry=entry)
             assert via == dataclasses.replace(
                 full, assignment_source=f"sampled(m={n})")
+
+
+class TestIntegerSums:
+    """Integer data is counted on a (size, sum) table; it must agree with
+    split subset sums and with the integer subset-sum oracle."""
+
+    @staticmethod
+    def _oracle(x, q1, q0, entry, side):
+        """(p right, p left, decision, critical value) from the integer
+        subset-sum oracle."""
+        n = math.comb(q1 + q0, q1)
+        counts = _subset_sum_counts([int(v) for v in x], q1)
+        s_id = int(sum(x[:q1]))
+        ge = sum(c for s, c in counts.items() if s >= s_id)
+        le = sum(c for s, c in counts.items() if s <= s_id)
+        ascending = sorted(counts)
+        below = list(itertools.accumulate(counts[s] for s in ascending))
+        j = entry.order_index_for(n)
+        i = n - j + 1 if side == "left" else j
+        nth_sum = ascending[next(k for k, c in enumerate(below) if c >= i)]
+        reject = {"right": ge <= n - j, "left": le <= n - j,
+                  "two-sided": ge <= n - j or le <= n - j}[side]
+        coef = 1.0 / q1 + 1.0 / q0
+        base = float(sum(x)) / q0
+        return (ge / n, le / n, "reject" if reject else "retain",
+                coef * nth_sum - base)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_split_sums_and_oracle(self, data):
+        q1 = data.draw(st.integers(1, 15))
+        q0 = data.draw(st.integers(1, 16 - q1))
+        d = Design(q1, q0)
+        n = d.n_assignments
+        # a narrow alphabet makes ties abound
+        alphabet = data.draw(st.lists(st.integers(-8, 8), min_size=1,
+                                      max_size=4, unique=True))
+        x = np.array(data.draw(st.lists(st.sampled_from(alphabet),
+                                        min_size=d.q, max_size=d.q)),
+                     dtype=float)
+        if np.all(x == x[0]):
+            x[0] += 1.0  # keep the data off the degenerate path
+        bar = data.draw(st.sampled_from([0.5, 0.2, 0.05]))
+        exact = (Fraction(bar) if order_index_from_level(bar, n) < n
+                 else Fraction(1, n))
+        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha=float(exact),
+                           source="calibrated", bar_alpha_exact=exact)
+        assert isinstance(enumeration_sums(d, x), IntegerSums)
+        est = ClusterEstimates(d, x)
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shuffled = np.concatenate([gen.permutation(x[:q1]),
+                                   gen.permutation(x[q1:])])
+        for side in ("right", "left", "two-sided"):
+            table = adjusted_test(est, alpha=0.5, side=side,
+                                  alpha_entry=entry)
+            with mock.patch.object(permtest, "enumeration_sums", SubsetSums):
+                split = adjusted_test(est, alpha=0.5, side=side,
+                                      alpha_entry=entry)
+            assert table == split
+            assert (table.p_value_right, table.p_value_left, table.decision,
+                    table.critical_value) == self._oracle(x, q1, q0, entry,
+                                                          side)
+            # relabeling clusters within each group is the same data
+            assert adjusted_test(ClusterEstimates(d, shuffled), alpha=0.5,
+                                 side=side, alpha_entry=entry) == table
+
+    def test_fifty_and_fifty(self):
+        # C(100, 50) ~ 1e29 relabelings: split sums would need 2^50 sums
+        # per half; the table holds 51 sizes by 251 sums
+        d = Design(50, 50)
+        x = np.random.default_rng(50).integers(0, 6, d.q).astype(float)
+        entry = AlphaEntry(q1=50, q0=50, alpha=0.1, bar_alpha=0.05,
+                           source="calibrated")
+        est = ClusterEstimates(d, x)
+        for side in ("right", "left", "two-sided"):
+            out = adjusted_test(est, alpha=0.1, side=side, alpha_entry=entry)
+            assert out.n_assignments == math.comb(100, 50)
+            assert (out.p_value_right, out.p_value_left, out.decision,
+                    out.critical_value) == self._oracle(x, 50, 50, entry,
+                                                        side)
+
+    def test_non_integer_data_keeps_split_sums(self):
+        d = Design(4, 4)
+        assert isinstance(enumeration_sums(d, np.arange(8.0) + 0.5),
+                          SubsetSums)
+        # integers too wide for their table
+        assert isinstance(enumeration_sums(d, np.arange(8.0) * 1e7),
+                          SubsetSums)
 
 
 # ===========================================================================

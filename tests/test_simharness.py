@@ -202,6 +202,15 @@ class TestDidConfig:
         with pytest.raises(DomainError):
             DidConfig(**kwargs)
 
+    def test_burn_in_is_a_count(self):
+        # an integral float is kept as an int, like the other counts
+        cfg = DidConfig(burn_in=500.0)
+        assert cfg.burn_in == 500 and type(cfg.burn_in) is int
+        assert DidConfig(burn_in=0).burn_in == 0
+        for bad in (-1, 2.5, -1.0, True):
+            with pytest.raises(DomainError, match="burn_in"):
+                DidConfig(burn_in=bad)
+
     def test_non_integer_h_grid_rejected(self):
         # entries were truncated to int, so (1.5,) ran as h = 1
         with pytest.raises(DomainError, match="h_grid entries"):

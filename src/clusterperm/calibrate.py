@@ -40,6 +40,7 @@ from .permkit import (
     positive_int,
     relabeling_counts,
     sample_assignments,
+    seed_int,
     weight_matrix,
 )
 from .permtest import AlphaEntry, check_alpha, order_index_from_level, size_bound
@@ -84,9 +85,7 @@ class CalibrationParams:
         if not (0 <= self.tolerance_eta < math.inf):
             raise DomainError(f"tolerance_eta must be finite and "
                               f"nonnegative, got {self.tolerance_eta}")
-        if isinstance(self.seed, bool) or int(self.seed) != self.seed \
-                or not (0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be a 64-bit integer, got {self.seed!r}")
+        seed_int("seed", self.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .estimators import (
     ingest_csv,
     per_cluster_ols,
 )
-from .permkit import RngStream, sample_assignments
+from .permkit import Design, RngStream, sample_assignments
 from .permtest import (
     adjusted_test,
     adjustment_level,
@@ -82,7 +82,10 @@ def _add_format_flags(sub):
                      help="print a one-record CSV instead of text")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it
+    as it was (append actions copy their default list)."""
     parser = _Parser(prog="clusterperm",
                      description="Permutation inference with few "
                                  "heterogeneous clusters.")
@@ -156,13 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the run summary as JSON")
     return parser
-
-
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built once per process; parsing leaves it as it
-    was (append actions copy their default list)."""
-    return build_parser()
 
 
 def parse_key_value_file(path) -> dict[str, str]:
@@ -245,7 +241,6 @@ def _alpha_entry(ns, design, alpha, seed):
 
 
 def _cmd_alpha(ns):
-    from .permkit import Design
     seed = None
     if ns.calibrate:
         seed = ns.seed if ns.seed is not None else secrets.randbits(31)

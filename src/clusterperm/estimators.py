@@ -501,22 +501,19 @@ def load_estimates(path) -> ClusterEstimates:
         raise InputFormatError(
             f"header must be {','.join(_EST_HEADER)}; got {','.join(header)}")
     seen: dict[str, tuple[int, float]] = {}
-    order: list[str] = []
     for lineno, row in zip(linenos, rows):
         cid = row[0].strip()
         if cid in seen:
             raise InputFormatError(
                 f"row {lineno}: duplicate cluster {cid!r}")
-        flag = _parse_binary(row[1], "treated", lineno)
-        est = _parse_float(row[2], "estimate", lineno)
-        seen[cid] = (flag, est)
-        order.append(cid)
-    treated_ids = [c for c in order if seen[c][0] == 1]
-    control_ids = [c for c in order if seen[c][0] == 0]
-    if not treated_ids or not control_ids:
+        seen[cid] = (_parse_binary(row[1], "treated", lineno),
+                     _parse_float(row[2], "estimate", lineno))
+    # treated first; the sort is stable, so each group keeps file order
+    ordered = sorted(seen, key=lambda c: -seen[c][0])
+    q1 = sum(flag for flag, _ in seen.values())
+    if not 0 < q1 < len(seen):
         raise InputFormatError(
             "need at least one treated and one control cluster")
-    ordered = treated_ids + control_ids
-    design = Design(len(treated_ids), len(control_ids))
     values = np.array([seen[c][1] for c in ordered])
-    return ClusterEstimates(design, values, cluster_ids=tuple(ordered))
+    return ClusterEstimates(Design(q1, len(seen) - q1), values,
+                            cluster_ids=tuple(ordered))

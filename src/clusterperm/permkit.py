@@ -15,8 +15,8 @@ over the full collection of one data vector without listing it;
 `IntegerSums` does the same for integer data by a dynamic program, and
 `enumeration_sums` picks between the two.
 `relabeling_counts` is the one counting kernel for many data rows at
-once: x @ W in cache-sized row blocks, or `SubsetSums` per row when
-the full enumeration's weight matrix is above the cap.
+once: x @ W in cache-sized row blocks, or `enumeration_sums` per row
+when the full enumeration's weight matrix is above the cap.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ _SAMPLE_ROWS = 1 << 12  # draws per sampling block
 _COUNT_ROWS = 1 << 16  # left sums per split-sum counting chunk
 _PROBE_SAMPLE = 1 << 12  # sums sampled to place a selection probe
 _PRODUCT_BYTES = 1 << 21  # bytes of x @ W per counting block
+# Largest magnitude of the locations, scales, slopes and effects of a
+# study or a power bound: a draw times a product of two of them, squared
+# and summed over a panel, stays far inside the float64 range, and so do
+# a power bound's window and breakpoints.
+_MAX_MAGNITUDE = 1e50
 
 
 def positive_int(name: str, value, least: int = 1) -> int:
@@ -50,6 +55,27 @@ def positive_int(name: str, value, least: int = 1) -> int:
         what = "a positive integer" if least == 1 else f"an integer >= {least}"
         raise DomainError(f"{name} must be {what}, got {value!r}")
     return int(value)
+
+
+def seed_int(name: str, value) -> int:
+    """value as an int; DomainError unless it is an integer in [0, 2^64),
+    one word of a numpy SeedSequence: the rule for every seed, stream id
+    and subkey entry."""
+    word = positive_int(name, value, least=0)
+    if word >= 1 << 64:
+        raise DomainError(f"{name} must be below 2^64, got {value!r}")
+    return word
+
+
+def _check_magnitudes(obj, names) -> None:
+    """DomainError unless each named field of obj (a number or a tuple of
+    numbers) is finite and at most _MAX_MAGNITUDE in magnitude."""
+    for name in names:
+        values = getattr(obj, name)
+        for v in values if isinstance(values, tuple) else (values,):
+            if not abs(v) <= _MAX_MAGNITUDE:
+                raise DomainError(f"{name} must be finite and at most "
+                                  f"{_MAX_MAGNITUDE:g} in magnitude, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -90,15 +116,9 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or int(v) != v or not (0 <= int(v) < 2**64):
-                raise DomainError(f"{name} must be an integer in [0, 2^64), got {v!r}")
-            object.__setattr__(self, name, int(v))
-        sk = tuple(self.subkey)
-        for v in sk:
-            if isinstance(v, bool) or int(v) != v or not (0 <= int(v) < 2**64):
-                raise DomainError(f"subkey entries must be integers in [0, 2^64), got {v!r}")
-        object.__setattr__(self, "subkey", tuple(int(v) for v in sk))
+            object.__setattr__(self, name, seed_int(name, getattr(self, name)))
+        object.__setattr__(self, "subkey", tuple(
+            seed_int("subkey entry", v) for v in self.subkey))
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed,
@@ -480,9 +500,10 @@ def relabeling_counts(x, design: Design, w: np.ndarray | None = None
     of at least q rows, so that reading W costs no more than the block.
     Integer rows are counted on x @ (q1*q0*W), which is exact, so tied
     relabelings stay tied.  When the full enumeration's weight matrix is
-    above the cap, each row is counted on its treated-entry sums by
-    `SubsetSums` instead, which orders the assignments as the statistic
-    does.
+    above the cap, each row is counted on its treated-entry sums, which
+    order the assignments as the statistic does, by `enumeration_sums`
+    instead: the (size, sum) table on integer rows, split subset sums
+    otherwise.  Counts past 2^63 are then Python ints.
     """
     x = np.asarray(x)
     if x.dtype != np.float32:
@@ -491,10 +512,11 @@ def relabeling_counts(x, design: Design, w: np.ndarray | None = None
         raise ShapeError(f"rows must have {design.q} entries, got shape "
                          f"{x.shape}")
     rows = x.reshape(-1, design.q)
-    if w is None and design.n_assignments * design.q > DEFAULT_ENUMERATION_CAP:
-        out = np.empty(len(rows), dtype=np.int64)
+    n = design.n_assignments
+    if w is None and n * design.q > DEFAULT_ENUMERATION_CAP:
+        out = np.empty(len(rows), dtype=np.int64 if n < 1 << 63 else object)
         for i, row in enumerate(rows):
-            sums = SubsetSums(design, row)
+            sums = enumeration_sums(design, row)
             out[i] = sums.count_at_least(sums.identity)
         return out.reshape(x.shape[:-1])
     w = (_enumeration_weights(design) if w is None else w).astype(

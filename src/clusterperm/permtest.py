@@ -92,20 +92,6 @@ class ClusterEstimates:
         return self.values[self.design.q1:]
 
 
-def comparison_of_means(x: ClusterEstimates) -> float:
-    """Mean of the treated entries minus mean of the control entries.
-
-    Evaluated as (1/q1 + 1/q0) * sum(treated) - sum(all)/q0, the exact
-    same floating-point expression the enumeration engine uses, so the
-    observed statistic is bit-identical to the identity entry of the
-    permutation distribution and strict comparisons against permutation
-    quantiles never flip on rounding.
-    """
-    d = x.design
-    coef = 1.0 / d.q1 + 1.0 / d.q0
-    return float(coef * x.treated_values.sum() - x.values.sum() / d.q0)
-
-
 def check_alpha(alpha: float) -> None:
     """DomainError unless the level alpha lies in (0,1)."""
     if not (0.0 < alpha < 1.0):
@@ -365,11 +351,15 @@ def lookup_bar_alpha(q1: int, q0: int, alpha: float) -> AlphaEntry:
     hi, lo = max(q1, q0), min(q1, q0)
     printed = _BAR_ALPHA_TABLE[key].get((hi, lo))
     if printed is None:
+        # every blank cell inside the table has a size bound above alpha
+        advice = (f"the smallest feasible alpha by the worst-case size "
+                  f"bound is {bound:.3g}; pick a larger alpha or calibrate "
+                  "directly" if bound > alpha else "the table stops at 12 "
+                  "clusters per group; calibrate the level instead "
+                  "(--calibrate, or the calibrate module)")
         raise InfeasibleLevelError(
             f"no tabulated adjustment for q1={q1}, q0={q0} at alpha={key}: "
-            f"the smallest feasible alpha by the worst-case size bound is "
-            f"{bound:.6f}; pick a larger alpha or calibrate directly",
-            smallest_feasible=bound)
+            f"{advice}", smallest_feasible=bound)
     starred = printed == _STAR
     exact = Fraction(1, design.n_assignments) if starred else Fraction(printed)
     return AlphaEntry(q1=q1, q0=q0, alpha=float(key), bar_alpha=float(exact),

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError
+from .permkit import _MAX_MAGNITUDE, _check_magnitudes
 
 # The window spans this many sigmas on either side of the control and
 # treated distributions; the mass it leaves out is below q * Phi(-10).
@@ -29,10 +30,8 @@ from .errors import DomainError, NumericalError, ShapeError
 _WINDOW_SIGMAS = 10.0
 _BREAK_SIGMAS = (-_WINDOW_SIGMAS, -3.0, 0.0, 3.0, _WINDOW_SIGMAS)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# Bounds on |delta| and the sigmas: the window, its breakpoints and the
-# standardized points x / sigma, squared, stay far inside the float64
-# range.
-_MAX_MAGNITUDE = 1e50
+# With the sigmas at least this and at most _MAX_MAGNITUDE, the standardized
+# points x / sigma, squared, stay far inside the float64 range.
 _MIN_SIGMA = 1e-50
 
 
@@ -46,10 +45,7 @@ class PowerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", float(self.delta))
-        if not abs(self.delta) <= _MAX_MAGNITUDE:
-            raise DomainError(f"delta must be finite and at most "
-                              f"{_MAX_MAGNITUDE:g} in magnitude, got "
-                              f"{self.delta}")
+        _check_magnitudes(self, ("delta",))
         for name in ("sigmas_treated", "sigmas_control"):
             raw = getattr(self, name)
             sig = tuple(float(s) for s in raw)

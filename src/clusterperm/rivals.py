@@ -309,17 +309,15 @@ def wild_cluster_bootstrap_test(data: Mapping[str, object],
     p_right, p_left, p_two = map(float, bootstrap_p_values(t_star, t_obs))
 
     n_b = t_star.size
+    k = math.ceil((1.0 - alpha) * (n_b + 1)) - 1
     if side == "right":
         p_used, ref = p_right, np.sort(t_star)
-        k = math.ceil((1.0 - alpha) * (n_b + 1)) - 1
         crit = float(ref[k]) if k < n_b else math.inf
     elif side == "left":
         p_used, ref = p_left, np.sort(-t_star)
-        k = math.ceil((1.0 - alpha) * (n_b + 1)) - 1
         crit = -float(ref[k]) if k < n_b else -math.inf
     else:
         p_used, ref = p_two, np.sort(np.abs(t_star))
-        k = math.ceil((1.0 - alpha) * (n_b + 1)) - 1
         crit = float(ref[k]) if k < n_b else math.inf
     return TestOutcome(
         statistic=t_obs, critical_value=crit,

@@ -14,21 +14,21 @@ Draw order per replication:
   factors and effect shifts are applied outside the generator, so every
   (h, delta) grid cell reuses the same underlying randomness.
 
-Replications are scheduled in blocks of _BLOCK, which run in one process
-or are spread over a worker pool; counts add up and data checksums XOR
-together across blocks.  A normal-study block is decided at once.  A
-DiD block is decided in sub-blocks whose size keeps the largest
-per-replication intermediate, the bootstrap sign products of
-|delta_grid| * bootstrap_B * q doubles, within _DID_BYTES, so a worker's
-peak memory stays bounded whatever bootstrap_B, the grids and _BLOCK
-are.  Every replication draws from its own stream, so neither the block
-nor the sub-block size changes a result.  The permutation arm counts
-relabelings with permkit.relabeling_counts, through the weight matrix
-or, above its cap, by split subset sums; the rivals come from the
-batched kernels in rivals (group_t, pooled_t, bootstrap_p_values), the
-same functions the single-dataset tests call.  This module holds the
-draws, the per-cluster fits of the DiD panel, the block scheduling and
-the result tables.
+Replications are scheduled in blocks, which run in one process or are
+spread over a worker pool and are each decided at once; counts add up
+and data checksums XOR together across blocks.  A normal-study block
+holds _BLOCK replications.  A DiD block holds at most that many, and
+few enough that the largest per-replication intermediate, the bootstrap
+sign products of |delta_grid| * bootstrap_B * q doubles, stays within
+_DID_BYTES, so a worker's peak memory stays bounded whatever
+bootstrap_B and the grids are.  Every replication draws from its own
+stream, so the block size does not change a result.  The permutation
+arm counts relabelings with permkit.relabeling_counts, through the
+weight matrix or, above its cap, by enumeration_sums; the rivals come
+from the batched kernels in rivals (group_t, pooled_t,
+bootstrap_p_values), the same functions the single-dataset tests call.
+This module holds the draws, the per-cluster fits of the DiD panel, the
+block scheduling and the result tables.
 """
 
 from __future__ import annotations
@@ -42,48 +42,60 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .permkit import Design, RngStream, positive_int, relabeling_counts
+from .permkit import (
+    Design,
+    RngStream,
+    _check_magnitudes,
+    positive_int,
+    relabeling_counts,
+    seed_int,
+)
 from .permtest import check_alpha, lookup_bar_alpha
 from .rivals import bootstrap_p_values, dof_adjustment, group_t, pooled_t
 
 _BLOCK = 256  # replications per scheduled block
-_DID_BYTES = 1 << 22  # bytes of the largest intermediate per DiD sub-block
-# Largest magnitude of a study's locations, scales, slopes and effects: a
-# draw times a product of two of them, squared and summed over a panel,
-# stays far inside the float64 range.
-_MAX_MAGNITUDE = 1e50
+_DID_BYTES = 1 << 22  # bytes of the largest intermediate per DiD block
 _METHODS_NORMAL = ("adjusted-permutation", "group-t")
 _METHODS_DID = ("adjusted-permutation", "group-t", "pooled-cluster-t",
                 "wild-cluster-bootstrap")
 
 
-def _check_study(cfg):
-    """The adjustment for the study's design and level, or an error if
-    it has none (fails fast, before any draw) or the group t-test has
-    too few clusters."""
+def _study_setup(cfg):
+    """(design, adjustment entry, the largest relabeling count at which
+    the permutation arm rejects, the group t-test's critical value) of a
+    study, or an error if its design and level have no adjustment or the
+    group t-test has too few clusters."""
+    from scipy.special import stdtrit
+
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
     if min(cfg.q1, cfg.q0) < 2:
         raise ContractError("the group t-test needs q1 >= 2 and q0 >= 2")
-    return entry
+    design = Design(cfg.q1, cfg.q0)
+    return (design, entry, design.n_assignments - entry.order_index,
+            stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha))
 
 
 def _check_common(cfg, *counts):
     """Check the fields both studies share and the further positive
-    counts named, keeping each count as an int."""
+    counts named, keeping each count and the seed as an int."""
     for name in ("q1", "q0", "replications", *counts):
         object.__setattr__(cfg, name, positive_int(name, getattr(cfg, name)))
     check_alpha(cfg.alpha)
-    if not isinstance(cfg.seed, int):
-        raise DomainError("seed must be an integer")
+    object.__setattr__(cfg, "seed", seed_int("seed", cfg.seed))
 
 
-def _check_magnitudes(cfg, names):
-    for name in names:
-        values = getattr(cfg, name)
-        for v in values if isinstance(values, tuple) else (values,):
-            if not abs(v) <= _MAX_MAGNITUDE:
-                raise DomainError(f"{name} must be finite and at most "
-                                  f"{_MAX_MAGNITUDE:g} in magnitude, got {v!r}")
+def _check_scales(cfg, name: str, rule: str) -> None:
+    """Check the sigmas and the field `name` of heterogeneous cluster
+    counts h, each of which must be an integer in [0, q] (`rule` opens
+    the error message)."""
+    value = getattr(cfg, name)
+    q = cfg.q1 + cfg.q0
+    if not all(isinstance(h, int) and 0 <= h <= q
+               for h in (value if isinstance(value, tuple) else (value,))):
+        raise DomainError(f"{rule} in [0, {q}], got {value}")
+    _check_magnitudes(cfg, ("sigma_low", "sigma_high"))
+    if not (cfg.sigma_low > 0 and cfg.sigma_high > 0):
+        raise DomainError("sigma_low and sigma_high must be positive")
 
 
 def _sigmas(cfg, h: int) -> np.ndarray:
@@ -118,14 +130,8 @@ class NormalLocationConfig:
                            tuple(float(m) for m in self.mu1_grid))
         if not self.mu1_grid:
             raise DomainError("mu1_grid must be nonempty")
-        q = self.q1 + self.q0
-        if not (isinstance(self.h, int) and 0 <= self.h <= q):
-            raise DomainError(f"h must be an integer in [0, {q}], "
-                              f"got {self.h}")
-        _check_magnitudes(self, ("mu0", "mu1_grid", "sigma_low",
-                                 "sigma_high"))
-        if not (self.sigma_low > 0 and self.sigma_high > 0):
-            raise DomainError("sigma_low and sigma_high must be positive")
+        _check_magnitudes(self, ("mu0", "mu1_grid"))
+        _check_scales(self, "h", "h must be an integer")
 
 
 @dataclass(frozen=True)
@@ -165,18 +171,11 @@ class DidConfig:
             raise DomainError(f"rho must satisfy |rho| < 1, got {self.rho}")
         object.__setattr__(self, "burn_in",
                            positive_int("burn_in", self.burn_in, least=0))
-        if not self.delta_grid:
-            raise DomainError("delta_grid must be nonempty")
-        q = self.q1 + self.q0
-        if not self.h_grid or not all(isinstance(h, int) and 0 <= h <= q
-                                      for h in self.h_grid):
-            raise DomainError(f"h_grid entries must be integers in [0, {q}], "
-                              f"got {self.h_grid}")
-        _check_magnitudes(self, ("delta_grid", "sigma_low", "sigma_high",
-                                 "theta0", "beta1", "beta2", "beta3", "zeta",
-                                 "gamma"))
-        if not (self.sigma_low > 0 and self.sigma_high > 0):
-            raise DomainError("sigma_low and sigma_high must be positive")
+        if not (self.delta_grid and self.h_grid):
+            raise DomainError("delta_grid and h_grid must be nonempty")
+        _check_magnitudes(self, ("delta_grid", "theta0", "beta1", "beta2",
+                                 "beta3", "zeta", "gamma"))
+        _check_scales(self, "h_grid", "h_grid entries must be integers")
 
 
 def _ar1(v: np.ndarray, rho: float) -> np.ndarray:
@@ -225,13 +224,8 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 def _normal_block(cfg: NormalLocationConfig, lo: int, hi: int):
-    from scipy.special import stdtrit
-
-    design = Design(cfg.q1, cfg.q0)
+    design, _, count_max, t_crit = _study_setup(cfg)
     q = design.q
-    entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
-    count_max = design.n_assignments - entry.order_index
-    t_crit = stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha)
     sig = _sigmas(cfg, cfg.h)
 
     z = np.empty((hi - lo, q))
@@ -258,9 +252,8 @@ def run_normal_location_study(cfg: NormalLocationConfig,
                               workers: int = 1) -> ResultTable:
     """Rejection frequencies of the adjusted permutation test and the
     group t-test on identical draws, for each mu1 on the grid."""
-    entry = _check_study(cfg)
-    counts, checksum = _run_blocks(_normal_block, cfg, workers,
-                                   (len(cfg.mu1_grid), 2))
+    entry = _study_setup(cfg)[1]
+    counts, checksum = _run_blocks(_normal_block, cfg, workers, _BLOCK)
     return _result_table(cfg, entry, {"mu1": cfg.mu1_grid, "h": (cfg.h,)},
                          _METHODS_NORMAL, counts, checksum, {})
 
@@ -281,22 +274,8 @@ def _did_layout(cfg: DidConfig):
 POOLED_COLUMNS = ("intercept", "post", "post_x_treated", "x1", "x2", "x3")
 
 
-def _did_block(cfg: DidConfig, lo: int, hi: int):
-    """Counts and data checksum of replications [lo, hi), decided in
-    sub-blocks of _did_step(cfg) replications."""
-    step = _did_step(cfg)
-    counts = np.zeros((len(cfg.h_grid), len(cfg.delta_grid), 4),
-                      dtype=np.int64)
-    checksum = 0
-    for sub_lo in range(lo, hi, step):
-        c, s = _did_sub_block(cfg, sub_lo, min(sub_lo + step, hi))
-        counts += c
-        checksum ^= s
-    return counts, checksum
-
-
 def _did_step(cfg: DidConfig) -> int:
-    """Replications per DiD sub-block: as many as keep the largest
+    """Replications per DiD block at most: as many as keep the largest
     per-replication intermediate within _DID_BYTES, and at least one.
     That is the bootstrap sign products (|delta_grid| * bootstrap_B * q
     doubles) unless the AR(1) innovations ((burn_in + T) * q) or the
@@ -309,9 +288,10 @@ def _did_step(cfg: DidConfig) -> int:
     return max(1, _DID_BYTES // (8 * q * widest))
 
 
-def _did_sub_block(cfg: DidConfig, lo: int, hi: int):
+def _did_block(cfg: DidConfig, lo: int, hi: int):
     from scipy.special import stdtrit
 
+    design, _, count_max, t_crit_im = _study_setup(cfg)
     q, t, i_t, d_k, itd = _did_layout(cfg)
     n_rep = hi - lo
     b_boot = cfg.bootstrap_B
@@ -340,10 +320,6 @@ def _did_sub_block(cfg: DidConfig, lo: int, hi: int):
     t_idx = POOLED_COLUMNS.index("post_x_treated")
     adj = dof_adjustment(n_pool, q, len(POOLED_COLUMNS))
     t_crit_pool = stdtrit(q - 1, 1.0 - cfg.alpha)
-    t_crit_im = stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha)
-    design = Design(cfg.q1, cfg.q0)
-    entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
-    count_max = design.n_assignments - entry.order_index
     deltas = np.asarray(cfg.delta_grid)[:, None, None]
 
     # pooled design rows are cluster-major: cluster 0 periods 1..T, then
@@ -390,16 +366,15 @@ def _did_sub_block(cfg: DidConfig, lo: int, hi: int):
 def run_did_study(cfg: DidConfig, workers: int = 1) -> ResultTable:
     """Rejection frequencies of all four tests on identical panel draws,
     for each (h, delta) grid cell."""
-    entry = _check_study(cfg)
+    entry = _study_setup(cfg)[1]
     q, t, *_ = _did_layout(cfg)
     if t < 5:
         raise DomainError("the per-cluster regression needs at least 5 "
                           f"periods, got {t}")
     if q * t <= 6:
         raise DomainError("pooled design has more regressors than rows")
-    counts, checksum = _run_blocks(
-        _did_block, cfg, workers,
-        (len(cfg.h_grid), len(cfg.delta_grid), 4))
+    counts, checksum = _run_blocks(_did_block, cfg, workers,
+                                   min(_BLOCK, _did_step(cfg)))
     dof = Fraction(q * t - 1, 1) * q / Fraction((q * t - 6) * (q - 1))
     return _result_table(
         cfg, entry, {"h": cfg.h_grid, "delta": cfg.delta_grid}, _METHODS_DID,
@@ -411,32 +386,24 @@ def run_did_study(cfg: DidConfig, workers: int = 1) -> ResultTable:
 # Block scheduling
 # ---------------------------------------------------------------------------
 
-def _block_ranges(replications: int):
-    return [(lo, min(lo + _BLOCK, replications))
-            for lo in range(0, replications, _BLOCK)]
-
-
-def _run_blocks(block_fn, cfg, workers, counts_shape):
+def _run_blocks(block_fn, cfg, workers, block: int):
+    """Counts and data checksum of all replications, decided by block_fn
+    in blocks of `block` replications."""
     if not (isinstance(workers, int) and workers >= 1):
         raise DomainError("workers must be a positive integer")
-    ranges = _block_ranges(cfg.replications)
-    counts = np.zeros(counts_shape, dtype=np.int64)
-    checksum = 0
+    reps = cfg.replications
+    ranges = [(lo, min(lo + block, reps)) for lo in range(0, reps, block)]
     if workers == 1 or len(ranges) == 1:
-        for lo, hi in ranges:
-            c, s = block_fn(cfg, lo, hi)
-            counts += c
-            checksum ^= s
+        results = [block_fn(cfg, lo, hi) for lo, hi in ranges]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(block_fn, cfg, lo, hi)
-                       for lo, hi in ranges]
-            for fut in futures:
-                c, s = fut.result()
-                counts += c
-                checksum ^= s
+            results = list(pool.map(block_fn, itertools.repeat(cfg),
+                                    *zip(*ranges)))
+    counts, checksum = 0, 0
+    for c, s in results:
+        counts, checksum = counts + c, checksum ^ s
     return counts, checksum
 
 

@@ -115,6 +115,30 @@ class TestAlphaCommand:
                                "--alpha", "0.01")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InfeasibleLevelError"
+        assert "pick a larger alpha" in json.loads(err)["error"]["message"]
+
+    def test_design_past_the_table_points_to_calibration(self, capsys,
+                                                         tmp_path):
+        # 0.05 is above the size bound of both designs; the cells are
+        # missing because the table stops at 12 clusters per group
+        advice = ("the table stops at 12 clusters per group; calibrate the "
+                  "level instead (--calibrate, or the calibrate module)")
+        path = tmp_path / "est.csv"
+        write_estimates_csv(path, [i % 6 for i in range(100)], 50)
+        code, _, err = run_cli(capsys, "test", "--input", str(path),
+                               "--alpha", "0.05")
+        error = json.loads(err)["error"]
+        assert code == 2 and error["type"] == "InfeasibleLevelError"
+        assert error["message"].endswith(advice)
+        assert "larger alpha" not in error["message"]
+        cfg = tmp_path / "norm.cfg"
+        cfg.write_text("q1=13\nq0=6\nreplications=10\n")
+        code, _, err = run_cli(capsys, "simulate", "--study", "normal",
+                               "--config", str(cfg), "--out",
+                               str(tmp_path / "out.csv"))
+        error = json.loads(err)["error"]
+        assert code == 2 and error["type"] == "InfeasibleLevelError"
+        assert error["message"].endswith(advice)
 
     def test_param_requires_calibrate(self, capsys):
         code, _, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",

@@ -18,7 +18,9 @@ from clusterperm import permkit
 from clusterperm.errors import CapacityError, ContractError, DomainError, ShapeError
 from clusterperm.permkit import (
     Design,
+    IntegerSums,
     RngStream,
+    SubsetSums,
     enumerate_assignments,
     check_assignments,
     count_at_or_above,
@@ -386,3 +388,33 @@ class TestRelabelingCounts:
     def test_row_length_must_match_design(self):
         with pytest.raises(ShapeError):
             relabeling_counts(np.zeros((3, 5)), Design(3, 3))
+
+    def test_integer_rows_above_the_cap_take_the_table(self):
+        # 12+12 is above the weight-matrix cap: integer rows are counted
+        # on the (size, sum) table, and every integer sum is exact in
+        # the split-sum count too
+        d = Design(12, 12)
+        x = RngStream(36).generator().integers(0, 6, (4, d.q)).astype(float)
+        got = relabeling_counts(x, d)
+        for row, count in zip(x, got):
+            for sums in (IntegerSums(d, row), SubsetSums(d, row)):
+                assert count == sums.count_at_least(sums.identity)
+
+    def test_integer_rows_past_forty_six_clusters(self):
+        # the split-sum count stops at q = 46; the table does not
+        d = Design(24, 24)
+        x = RngStream(37).generator().integers(0, 6, (3, d.q)).astype(float)
+        got = relabeling_counts(x, d)
+        assert got.dtype == np.int64 and got.shape == (3,)
+        for row, count in zip(x, got):
+            sums = IntegerSums(d, row)
+            assert count == sums.count_at_least(sums.identity)
+        with pytest.raises(CapacityError):
+            relabeling_counts(x + 0.5, d)
+        # C(100, 50) > 2^63: the counts are Python ints
+        d = Design(50, 50)
+        row = RngStream(38).generator().integers(0, 6, d.q).astype(float)
+        sums = IntegerSums(d, row)
+        got = relabeling_counts(row[None], d)
+        assert got.dtype == object and got[0] > 1 << 63
+        assert got[0] == sums.count_at_least(sums.identity)

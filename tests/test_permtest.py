@@ -42,7 +42,6 @@ from clusterperm.permtest import (
     AlphaEntry,
     ClusterEstimates,
     adjusted_test,
-    comparison_of_means,
     lookup_bar_alpha,
     order_index_from_level,
     p_value,
@@ -111,15 +110,32 @@ def _subset_sum_counts(values: list[int], q1: int) -> dict[int, int]:
 # statistic
 # ===========================================================================
 
+def _comparison_of_means(x: ClusterEstimates) -> float:
+    """Oracle: the mean of the treated entries minus the mean of the
+    control entries, computed as the definition reads."""
+    return float(x.treated_values.mean() - x.control_values.mean())
+
+
+def _engine_statistic(x: ClusterEstimates) -> float:
+    """The observed statistic as the full-enumeration engine forms it."""
+    return permtest._relabelings(x.values, x.design, None).statistic
+
+
 class TestComparisonOfMeans:
     def test_balanced(self):
-        assert comparison_of_means(_estimates([1, 1, 0, 0], 2)) == pytest.approx(1.0)
+        x = _estimates([1, 1, 0, 0], 2)
+        assert _engine_statistic(x) == pytest.approx(1.0)
+        assert _comparison_of_means(x) == pytest.approx(1.0)
 
     def test_unbalanced(self):
-        assert comparison_of_means(_estimates([3, 1, 2], 1)) == pytest.approx(1.5)
+        x = _estimates([3, 1, 2], 1)
+        assert _engine_statistic(x) == pytest.approx(1.5)
+        assert _comparison_of_means(x) == pytest.approx(1.5)
 
     def test_constant_is_zero(self):
-        assert comparison_of_means(_estimates([7.3] * 6, 2)) == pytest.approx(0.0)
+        x = _estimates([7.3] * 6, 2)
+        assert _engine_statistic(x) == pytest.approx(0.0)
+        assert _comparison_of_means(x) == pytest.approx(0.0)
 
 
 # ===========================================================================

@@ -6,7 +6,10 @@ single-dataset functions, which also covers the permutation arm and
 the DiD study's own per-cluster fits.
 """
 
+import dataclasses
+import functools
 import math
+import operator
 import zlib
 
 import numpy as np
@@ -158,7 +161,8 @@ class TestNormalLocationConfig:
         {"mu1_grid": ()}, {"mu1_grid": (math.nan,)}, {"sigma_low": 0.0},
         {"replications": 0}, {"mu0": math.inf}, {"sigma_high": math.inf},
         {"sigma_low": math.nan}, {"sigma_high": 1e308}, {"mu0": -1e51},
-        {"mu1_grid": (0.0, 1e60)},
+        {"mu1_grid": (0.0, 1e60)}, {"seed": -1}, {"seed": 2**64},
+        {"seed": 1.5},
     ])
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DomainError):
@@ -196,7 +200,7 @@ class TestDidConfig:
         {"theta0": math.nan}, {"gamma": math.inf}, {"sigma_high": -2.0},
         {"sigma_high": math.inf}, {"sigma_low": math.inf},
         {"sigma_high": 1e308}, {"delta_grid": (0.0, -1e300)},
-        {"beta2": 1e60},
+        {"beta2": 1e60}, {"seed": -1}, {"seed": 2**64},
     ])
     def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DomainError):
@@ -460,16 +464,29 @@ class TestDidStudy:
         assert one.rows == two.rows
         assert one.metadata["data_checksum"] == two.metadata["data_checksum"]
 
-    def test_sub_block_size_does_not_change_results(self, monkeypatch):
+    def test_did_step_does_not_change_results(self, monkeypatch):
         cfg = DidConfig(replications=24, h_grid=(1, 5),
                         delta_grid=(0.0, 2.0), bootstrap_B=49, seed=9)
-        block = sh._did_block(cfg, 3, 21)
+        counts, checksum = sh._did_block(cfg, 3, 21)
+        singles = [sh._did_block(cfg, r, r + 1) for r in range(3, 21)]
+        assert np.array_equal(counts, sum(c for c, _ in singles))
+        assert checksum == functools.reduce(operator.xor,
+                                            (s for _, s in singles))
         table = run_did_study(cfg)
+        # a one-byte budget makes the scheduler decide one replication
+        # per block
+        sizes = []
+        block = sh._did_block
+
+        def spy(cfg, lo, hi):
+            sizes.append(hi - lo)
+            return block(cfg, lo, hi)
+
+        monkeypatch.setattr(sh, "_did_block", spy)
         monkeypatch.setattr(sh, "_DID_BYTES", 1)
         assert sh._did_step(cfg) == 1
-        counts, checksum = sh._did_block(cfg, 3, 21)
-        assert np.array_equal(counts, block[0]) and checksum == block[1]
         one = run_did_study(cfg)
+        assert sizes == [1] * cfg.replications
         assert one.rows == table.rows
         assert one.metadata["data_checksum"] == table.metadata["data_checksum"]
 
@@ -543,3 +560,46 @@ class TestDidStudy:
         assert "# pooled_columns=intercept post post_x_treated x1 x2 x3" in text
         header = text.index("h,delta,method,rejection_rate,mc_se")
         assert len(text) - header - 1 == 4
+
+
+# =========================================================================
+# Pure rescaling
+# =========================================================================
+
+class TestPureRescale:
+    """Scaling every location, scale and effect of a study by c = 2^k
+    scales each replication's data by c exactly, so no rate moves and
+    the draws, and with them the data checksum, stay the same."""
+
+    @staticmethod
+    def _unscaled_rows(table: ResultTable, grid: str, c: float) -> list:
+        col = table.columns.index(grid)
+        return [row[:col] + (row[col] / c,) + row[col + 1:]
+                for row in table.rows]
+
+    @pytest.mark.parametrize("k", [-40, -7, 13, 40])
+    def test_normal_study(self, k):
+        c = 2.0 ** k
+        cfg = NormalLocationConfig(mu1_grid=(0.0, 1.5, 4.0),
+                                   replications=500, seed=21)
+        scaled = dataclasses.replace(
+            cfg, mu1_grid=tuple(c * m for m in cfg.mu1_grid),
+            sigma_low=c * cfg.sigma_low, sigma_high=c * cfg.sigma_high)
+        base = run_normal_location_study(cfg)
+        moved = run_normal_location_study(scaled)
+        assert self._unscaled_rows(moved, "mu1", c) == list(base.rows)
+        assert moved.metadata["data_checksum"] == base.metadata["data_checksum"]
+
+    @pytest.mark.parametrize("k", [-40, -7, 13, 40])
+    def test_did_study(self, k):
+        c = 2.0 ** k
+        cfg = DidConfig(replications=60, h_grid=(1, 3), seed=22)
+        scaled = dataclasses.replace(
+            cfg, theta0=c * cfg.theta0, zeta=c * cfg.zeta,
+            gamma=c * cfg.gamma, sigma_low=c * cfg.sigma_low,
+            sigma_high=c * cfg.sigma_high,
+            delta_grid=tuple(c * d for d in cfg.delta_grid))
+        base = run_did_study(cfg)
+        moved = run_did_study(scaled)
+        assert self._unscaled_rows(moved, "delta", c) == list(base.rows)
+        assert moved.metadata["data_checksum"] == base.metadata["data_checksum"]

@@ -74,7 +74,8 @@ class CalibrationParams:
 
     def __post_init__(self):
         for name in ("R", "S1", "S2", "m", "enumeration_threshold"):
-            positive_int(name, getattr(self, name))
+            object.__setattr__(self, name,
+                               positive_int(name, getattr(self, name)))
         if not (0 < self.top_fraction <= 1):
             raise DomainError(
                 f"top_fraction must lie in (0,1], got {self.top_fraction}")
@@ -85,7 +86,7 @@ class CalibrationParams:
         if not (0 <= self.tolerance_eta < math.inf):
             raise DomainError(f"tolerance_eta must be finite and "
                               f"nonnegative, got {self.tolerance_eta}")
-        seed_int("seed", self.seed)
+        object.__setattr__(self, "seed", seed_int("seed", self.seed))
 
 
 # ---------------------------------------------------------------------------

@@ -129,14 +129,6 @@ class RngStream:
         return RngStream(self.seed, self.stream_id, self.subkey + key)
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise DomainError(f"rng must be an RngStream or numpy Generator, got {rng!r}")
-
-
 def enumerate_assignments(design: Design) -> np.ndarray:
     """All C(q, q1) assignments as one (N, q1) intp array in lexicographic
     order, identity first.  Level r lists the r-subsets of [q1 - r, q): per

@@ -41,7 +41,7 @@ from .errors import (
     ShapeError,
 )
 from .estimators import _rank_deficient
-from .permkit import RngStream, _as_generator, positive_int
+from .permkit import RngStream, positive_int
 from .permtest import ClusterEstimates, TestOutcome, check_side_alpha
 
 
@@ -294,11 +294,12 @@ def wild_cluster_bootstrap_test(data: Mapping[str, object],
     """
     check_side_alpha(side, alpha)
     B = positive_int("B", B)
-    if rng is None:
-        rng = RngStream(0)
-    elif isinstance(rng, (int, np.integer)):
-        rng = RngStream(int(rng))
-    gen = _as_generator(rng)
+    if rng is None or isinstance(rng, (int, np.integer)):
+        rng = RngStream(0 if rng is None else int(rng))
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    if not isinstance(gen, np.random.Generator):
+        raise DomainError("rng must be an RngStream, a numpy Generator, an "
+                          f"integer seed or None, got {rng!r}")
 
     x, y, starts, t_idx, adj = _assemble(data, spec)
     signs = gen.integers(0, 2, size=(B, len(starts))).astype(float) * 2.0 - 1.0

@@ -66,6 +66,16 @@ class TestCalibrationParams:
         with pytest.raises(DomainError):
             CalibrationParams(**kwargs)
 
+    def test_integral_counts_kept_as_int(self):
+        # R=50.0 passed the check but stayed a float, and range(R) in the
+        # first pass raised TypeError
+        p = CalibrationParams(R=50.0, S1=np.int64(50), S2=100.0, seed=3.0)
+        assert [type(v) for v in (p.R, p.S1, p.S2, p.seed)] == [int] * 4
+        e = calibrate_exhaustive(Design(4, 4), 0.10, p)
+        assert e == calibrate_exhaustive(
+            Design(4, 4), 0.10, CalibrationParams(R=50, S1=50, S2=100,
+                                                  seed=3))
+
 
 # ===========================================================================
 # rejection rates counted by relabeling_counts

@@ -480,6 +480,20 @@ class TestWildClusterBootstrap:
         # the all-plus share of 8000 draws is about 1/8
         assert out.p_value_right > 0.05
 
+    def test_rng_forms_agree(self):
+        # an integer seed, None (seed 0), a stream and its generator
+        table = _zero_mean_clusters()
+        spec = PooledRegressionSpec("y", ("one", "tr"), "tr", "cid")
+
+        def run(rng):
+            return wild_cluster_bootstrap_test(table, spec, 0.05, B=99,
+                                               rng=rng)
+
+        assert run(7) == run(np.int64(7)) == run(RngStream(7))
+        assert run(RngStream(7)) == run(RngStream(7).generator())
+        assert run(None) == run(RngStream(0))
+        assert run(None) != run(7)
+
     def test_invalid_arguments(self):
         table = _zero_mean_clusters()
         spec = PooledRegressionSpec("y", ("one", "tr"), "tr", "cid")

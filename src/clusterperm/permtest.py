@@ -351,12 +351,14 @@ def lookup_bar_alpha(q1: int, q0: int, alpha: float) -> AlphaEntry:
     hi, lo = max(q1, q0), min(q1, q0)
     printed = _BAR_ALPHA_TABLE[key].get((hi, lo))
     if printed is None:
-        # every blank cell inside the table has a size bound above alpha
-        advice = (f"the smallest feasible alpha by the worst-case size "
-                  f"bound is {bound:.3g}; pick a larger alpha or calibrate "
-                  "directly" if bound > alpha else "the table stops at 12 "
-                  "clusters per group; calibrate the level instead "
-                  "(--calibrate, or the calibrate module)")
+        if bound > alpha:
+            advice = (f"the smallest feasible alpha by the worst-case size "
+                      f"bound is {bound:.3g}; pick a larger alpha or "
+                      "calibrate directly")
+        else:  # every blank cell inside the table has a bound above alpha
+            advice = ("the table stops at 12 clusters per group; calibrate "
+                      "the level instead (--calibrate, or the calibrate "
+                      "module)")
         raise InfeasibleLevelError(
             f"no tabulated adjustment for q1={q1}, q0={q0} at alpha={key}: "
             f"{advice}", smallest_feasible=bound)

@@ -85,9 +85,10 @@ def _check_common(cfg, *counts):
 
 
 def _check_scales(cfg, name: str, rule: str) -> None:
-    """Check the sigmas and the field `name` of heterogeneous cluster
-    counts h, each of which must be an integer in [0, q] (`rule` opens
-    the error message)."""
+    """DomainError unless the field `name`, one count h of high-sigma
+    clusters or a tuple of them, holds integers in [0, q] (the message
+    opens with `rule`), and both sigmas are positive and within the
+    magnitude bound."""
     value = getattr(cfg, name)
     q = cfg.q1 + cfg.q0
     if not all(isinstance(h, int) and 0 <= h <= q

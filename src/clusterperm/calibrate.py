@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -177,12 +176,12 @@ def _draw_variances(params: CalibrationParams, root: RngStream, q: int,
     return np.clip(V, 1e-12, 1.0)
 
 
-def _diagnostics(method: str, params: CalibrationParams, root_seed,
+def _diagnostics(method: str, params: CalibrationParams,
                  engine: _TwoPassEngine, worst_idx: np.ndarray,
                  final_rate: float, final_r: int, binding, extra: dict) -> dict:
     diag = {
         "method": method,
-        "seed": root_seed,
+        "seed": params.seed,
         "eta": params.tolerance_eta,
         "worst_rate": final_rate,
         "worst_variances": engine.V[final_r].tolist(),
@@ -201,7 +200,6 @@ def _diagnostics(method: str, params: CalibrationParams, root_seed,
 
 def calibrate_exhaustive(design: Design, alpha: float,
                          params: CalibrationParams | None = None,
-                         rng: RngStream | None = None,
                          variance_draws=None) -> AlphaEntry:
     """Search the exact permutation distribution's order statistics for
     the most liberal usable critical value.
@@ -221,8 +219,8 @@ def calibrate_exhaustive(design: Design, alpha: float,
         raise CapacityError(
             f"exhaustive calibration requires fewer than "
             f"{params.enumeration_threshold} assignments, got {n}; "
-            "use calibrate_sampled")
-    root = rng if rng is not None else RngStream(params.seed)
+            "use calibrate_sampled (--calibrate sampled)")
+    root = RngStream(params.seed)
     V = _draw_variances(params, root, design.q, variance_draws)
     engine = _TwoPassEngine(design, weight_matrix(design), V, params,
                             root)
@@ -247,8 +245,7 @@ def calibrate_exhaustive(design: Design, alpha: float,
         final = (rate, r_idx, worst)
     bar_exact = Fraction(n - j_star, n)
     diag = _diagnostics(
-        "exhaustive", params, None if rng is not None else params.seed,
-        engine, final[2], final[0], final[1], binding,
+        "exhaustive", params, engine, final[2], final[0], final[1], binding,
         {"n_assignments": n, "j_star": j_star,
          "restricted": variance_draws is not None})
     return AlphaEntry(q1=design.q1, q0=design.q0, alpha=float(alpha),
@@ -259,16 +256,14 @@ def calibrate_exhaustive(design: Design, alpha: float,
 
 def calibrate_sampled(design: Design, alpha: float,
                       params: CalibrationParams | None = None,
-                      rng: RngStream | None = None,
-                      start: float | None = None,
                       variance_draws=None) -> AlphaEntry:
     """Calibrate over a sampled assignment collection of size m.
 
     One collection (identity included) is drawn per run; candidate
-    levels descend from `start` (default alpha) on the epsilon grid, and
-    the first level at which no variance pattern's refined rejection
-    rate exceeds alpha (+ tolerance_eta) is returned as bar_alpha.  The
-    grid arithmetic is exact, so repeated runs visit identical levels.
+    levels descend from alpha on the epsilon grid, and the first level
+    at which no variance pattern's refined rejection rate exceeds alpha
+    (+ tolerance_eta) is returned as bar_alpha.  The grid arithmetic is
+    exact, so repeated runs visit identical levels.
     """
     params = params or CalibrationParams()
     check_alpha(alpha)
@@ -276,11 +271,9 @@ def calibrate_sampled(design: Design, alpha: float,
     if n < params.enumeration_threshold:
         raise ContractError(
             f"design has only {n} assignments, below the sampling threshold "
-            f"{params.enumeration_threshold}; use calibrate_exhaustive")
-    p0 = alpha if start is None else float(start)
-    if not (0 < p0 < 1):
-        raise DomainError(f"start must lie in (0,1), got {start}")
-    root = rng if rng is not None else RngStream(params.seed)
+            f"{params.enumeration_threshold}; use calibrate_exhaustive "
+            "(--calibrate exhaustive)")
+    root = RngStream(params.seed)
     m = params.m
     draws = sample_assignments(design, m, rng=root.derived(3))
     V = _draw_variances(params, root, design.q, variance_draws)
@@ -289,7 +282,7 @@ def calibrate_sampled(design: Design, alpha: float,
     limit = alpha + params.tolerance_eta
     floor = Fraction(1, m)
 
-    p = Fraction(float(p0))
+    p = Fraction(float(alpha))
     step = Fraction(float(params.epsilon))
     binding = None
     while p >= floor:
@@ -297,10 +290,9 @@ def calibrate_sampled(design: Design, alpha: float,
         rate, r_idx, worst = engine.worst_refined_rate(m - j_m)
         if rate <= limit:
             diag = _diagnostics(
-                "sampled", params, None if rng is not None else params.seed,
-                engine, worst, rate, r_idx, binding,
+                "sampled", params, engine, worst, rate, r_idx, binding,
                 {"m": m, "j_m": j_m, "grid_step": float(step),
-                 "start": float(p0), "n_assignments": n,
+                 "start": float(alpha), "n_assignments": n,
                  "restricted": variance_draws is not None})
             return AlphaEntry(q1=design.q1, q0=design.q0, alpha=float(alpha),
                               bar_alpha=float(p), source="calibrated",

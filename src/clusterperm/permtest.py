@@ -83,14 +83,6 @@ class ClusterEstimates:
         return (f"ClusterEstimates(q1={self.design.q1}, q0={self.design.q0}, "
                 f"values={self.values!r})")
 
-    @property
-    def treated_values(self) -> np.ndarray:
-        return self.values[:self.design.q1]
-
-    @property
-    def control_values(self) -> np.ndarray:
-        return self.values[self.design.q1:]
-
 
 def check_alpha(alpha: float) -> None:
     """DomainError unless the level alpha lies in (0,1)."""
@@ -185,14 +177,6 @@ def _relabelings(x: np.ndarray, design: Design, assignments) -> _Relabelings:
         len(idx), t_obs, int(count_at_or_above(vals)),
         int(count_at_or_above(-vals)),
         lambda i: float(np.partition(vals, i - 1)[i - 1]), source)
-
-
-def p_value(x: ClusterEstimates, assignments=None) -> float:
-    """Fraction of assignments whose relabeled statistic is >= the
-    observed one.  The identity heads every collection, so the result
-    is always >= 1/n."""
-    rel = _relabelings(x.values, x.design, assignments)
-    return rel.count_ge / rel.n
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +279,10 @@ class AlphaEntry:
     def __post_init__(self) -> None:
         if self.bar_alpha_exact is None:
             object.__setattr__(self, "bar_alpha_exact", Fraction(self.bar_alpha))
+        if self.bar_alpha != float(self.bar_alpha_exact):
+            raise DomainError(
+                f"bar_alpha {self.bar_alpha} and bar_alpha_exact "
+                f"{self.bar_alpha_exact} are different levels")
         n = Design(self.q1, self.q0).n_assignments
         if not (1 <= self.order_index <= n - 1):
             raise DomainError(
@@ -373,14 +361,6 @@ def lookup_bar_alpha(q1: int, q0: int, alpha: float) -> AlphaEntry:
 # the test decision
 # ---------------------------------------------------------------------------
 
-def check_side_alpha(side: str, alpha: float) -> None:
-    """DomainError unless side is a known side and alpha lies in (0,1);
-    the argument check every test in the package starts with."""
-    if side not in _SIDES:
-        raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    check_alpha(alpha)
-
-
 def adjustment_level(alpha: float, side: str) -> float:
     """The level whose adjustment a test of level alpha uses: alpha/2 for
     a two-sided test, which runs both one-sided tests."""
@@ -389,7 +369,7 @@ def adjustment_level(alpha: float, side: str) -> float:
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Decision record shared by the permutation test and the rival tests."""
+    """Decision record of the adjusted permutation test."""
 
     statistic: float
     critical_value: float
@@ -403,12 +383,10 @@ class TestOutcome:
     lam: float = 0.0
     n_assignments: int | None = None
     assignment_source: str | None = None
-    method: str = "adjusted-permutation"
-    extra: dict | None = field(compare=False, default=None)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "method": self.method,
+        return {
+            "method": "adjusted-permutation",
             "statistic": self.statistic,
             "critical_value": self.critical_value,
             "p_value_right": self.p_value_right,
@@ -422,9 +400,6 @@ class TestOutcome:
             "n_assignments": self.n_assignments,
             "assignment_source": self.assignment_source,
         }
-        if self.extra:
-            out.update(self.extra)
-        return out
 
 
 def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
@@ -446,7 +421,9 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
     it (e.g. with a calibrated entry; for two-sided tests supply an entry
     calibrated at alpha/2).
     """
-    check_side_alpha(side, alpha)
+    if side not in _SIDES:
+        raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
+    check_alpha(alpha)
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam}")

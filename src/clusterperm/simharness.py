@@ -26,7 +26,7 @@ stream, so the block size does not change a result.  The permutation
 arm counts relabelings with permkit.relabeling_counts, through the
 weight matrix or, above its cap, by enumeration_sums; the rivals come
 from the batched kernels in rivals (group_t, pooled_t,
-bootstrap_p_values), the same functions the single-dataset tests call.
+bootstrap_p_values).
 This module holds the draws, the per-cluster fits of the DiD panel, the
 block scheduling and the result tables.
 """

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from clusterperm.calibrate import calibrate_exhaustive
+from clusterperm.calibrate import CalibrationParams, calibrate_exhaustive
 from clusterperm.estimators import (
     ClusterDataset,
     EstimatorSpec,
@@ -107,7 +107,8 @@ def _max_event(x: ClusterEstimates) -> bool:
     """Every treated entry strictly exceeds every control entry: the
     event the power lower bound and the worst-case size analysis are
     built on."""
-    return float(x.treated_values.min()) > float(x.control_values.max())
+    q1 = x.design.q1
+    return float(x.values[:q1].min()) > float(x.values[q1:].max())
 
 
 def _rate(table, method: str, **cell) -> float:
@@ -156,8 +157,8 @@ def test_criterion_03_calibration_recovers_tabulated_indices():
         target = lookup_bar_alpha(q1, q0, alpha).order_index
         hits = 0
         for seed in seeds:
-            entry = calibrate_exhaustive(Design(q1, q0), alpha,
-                                         rng=RngStream(seed))
+            entry = calibrate_exhaustive(
+                Design(q1, q0), alpha, params=CalibrationParams(seed=seed))
             hits += abs(entry.order_index - target) <= 1
         assert hits >= 2, f"({q1},{q0},{alpha}): {hits}/3 within one step"
 

@@ -276,11 +276,6 @@ class TestCalibrateSampled:
         assert a.bar_alpha_exact == b.bar_alpha_exact
         assert a.order_index == b.order_index
 
-    def test_start_override_caps_result(self):
-        params = CalibrationParams(R=200, S1=200, S2=800, m=600, seed=9)
-        e = calibrate_sampled(Design(9, 9), 0.10, params, start=0.06)
-        assert e.bar_alpha <= 0.06 + 1e-12
-
     def test_entry_indices_consistent(self):
         params = CalibrationParams(R=200, S1=200, S2=800, m=600, seed=9)
         e = calibrate_sampled(Design(9, 9), 0.10, params)
@@ -290,7 +285,7 @@ class TestCalibrateSampled:
             e.bar_alpha_exact, 600)
 
     def test_grid_points_are_exact(self):
-        # returned level sits exactly on the start - k*epsilon grid
+        # returned level sits exactly on the alpha - k*epsilon grid
         params = CalibrationParams(R=200, S1=200, S2=800, m=600, seed=9)
         e = calibrate_sampled(Design(9, 9), 0.10, params)
         k = (Fraction(0.10) - e.bar_alpha_exact) / Fraction(0.005)

@@ -216,6 +216,34 @@ class TestAlphaCommand:
         assert code == 2
         assert "bogus" in json.loads(err)["error"]["message"]
 
+    def test_sampled_on_small_design_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                                 "--alpha", "0.1", "--calibrate", "sampled")
+        error = json.loads(err)["error"]
+        assert code == 2 and out == ""
+        assert error["type"] == "ContractError"
+        assert error["message"].endswith(
+            "use calibrate_exhaustive (--calibrate exhaustive)")
+
+    def test_exhaustive_on_large_design_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "alpha", "--q1", "7", "--q0", "7",
+                                 "--alpha", "0.1", "--calibrate",
+                                 "exhaustive")
+        error = json.loads(err)["error"]
+        assert code == 2 and out == ""
+        assert error["type"] == "CapacityError"
+        assert error["message"].endswith(
+            "use calibrate_sampled (--calibrate sampled)")
+
+    def test_calibrate_diagnostics_carry_the_seed(self, capsys):
+        code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                               "--alpha", "0.10", "--calibrate",
+                               "exhaustive", "--seed", "5", "--param",
+                               "R=50", "--param", "S1=50", "--param",
+                               "S2=100", "--json")
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["seed"] == 5
+
 
 # =========================================================================
 # test
@@ -232,6 +260,22 @@ class TestTestCommand:
         assert code == 0
         assert "decision=retain" in out
         assert "p_value=1" in out
+
+    def test_json_key_order(self, capsys, tmp_path):
+        path = tmp_path / "est.csv"
+        write_estimates_csv(path, np.arange(8.0), q1=4)
+        code, out, _ = run_cli(capsys, "test", "--input", str(path),
+                               "--alpha", "0.10", "--sample-m", "20",
+                               "--seed", "3", "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert list(payload) == [
+            "command", "input", "mode", "q1", "q0", "method", "statistic",
+            "critical_value", "p_value_right", "p_value_left",
+            "p_value_two_sided", "decision", "side", "alpha", "bar_alpha",
+            "lambda", "n_assignments", "assignment_source",
+            "bar_alpha_source", "seed"]
+        assert payload["method"] == "adjusted-permutation"
 
     def test_round_trip_matches_library_call(self, capsys, tmp_path):
         values = RngStream(17).generator().standard_normal(12) * 2.5

@@ -221,7 +221,8 @@ class TestPerClusterOls:
                                    atol=1e-10)
         # the comparison of means never feels a common shift
         def diff(x):
-            return x.treated_values.mean() - x.control_values.mean()
+            q1 = x.design.q1
+            return x.values[:q1].mean() - x.values[q1:].mean()
         assert diff(moved) == pytest.approx(diff(base), abs=1e-10)
 
     def test_rank_deficiency_names_cluster(self):

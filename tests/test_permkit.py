@@ -28,7 +28,7 @@ from clusterperm.permkit import (
     sample_assignments,
     weight_matrix,
 )
-from clusterperm.permtest import AlphaEntry, ClusterEstimates, adjusted_test, p_value
+from clusterperm.permtest import AlphaEntry, ClusterEstimates, adjusted_test
 
 
 def _all_assignments(design: Design) -> np.ndarray:
@@ -101,8 +101,6 @@ class TestArrayContract:
         with pytest.raises(error):
             weight_matrix(d, bad)
         x = ClusterEstimates(d, [3.0, 1.0, 0.5, -1.0])
-        with pytest.raises(error):
-            p_value(x, bad)
         # design (2, 2) has no tabulated level, so supply one
         entry = AlphaEntry(q1=2, q0=2, alpha=0.5, bar_alpha=0.5,
                            source="calibrated")

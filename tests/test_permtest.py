@@ -44,7 +44,6 @@ from clusterperm.permtest import (
     adjusted_test,
     lookup_bar_alpha,
     order_index_from_level,
-    p_value,
     size_bound,
 )
 
@@ -70,7 +69,8 @@ def _tabulated_cells() -> list[tuple[float, int, int, str]]:
 
 def _max_event(x: ClusterEstimates) -> bool:
     """Every treated entry strictly exceeds every control entry."""
-    return float(x.treated_values.min()) > float(x.control_values.max())
+    q1 = x.design.q1
+    return float(x.values[:q1].min()) > float(x.values[q1:].max())
 
 
 def _estimates(values, q1: int) -> ClusterEstimates:
@@ -113,7 +113,8 @@ def _subset_sum_counts(values: list[int], q1: int) -> dict[int, int]:
 def _comparison_of_means(x: ClusterEstimates) -> float:
     """Oracle: the mean of the treated entries minus the mean of the
     control entries, computed as the definition reads."""
-    return float(x.treated_values.mean() - x.control_values.mean())
+    q1 = x.design.q1
+    return float(x.values[:q1].mean() - x.values[q1:].mean())
 
 
 def _engine_statistic(x: ClusterEstimates) -> float:
@@ -216,12 +217,22 @@ class TestOrderIndexFromLevel:
         assert order_index_from_level(0.0428, 70) == 68
 
 
+def p_value(x: ClusterEstimates, assignments=None) -> float:
+    """The adjusted test's right-tail p-value, at bar_alpha = 1/2, whose
+    order index lies in [1, n-1] for every collection size n >= 2."""
+    entry = AlphaEntry(q1=x.design.q1, q0=x.design.q0, alpha=0.5,
+                       bar_alpha=0.5, source="calibrated")
+    return adjusted_test(x, 0.5, assignments=assignments,
+                         alpha_entry=entry).p_value_right
+
+
 class TestPValue:
     def test_observed_max(self):
         assert p_value(_estimates([2, 1, 0], 1)) == pytest.approx(1 / 3)
 
     def test_constant(self):
-        assert p_value(_estimates([5.5] * 4, 2)) == pytest.approx(1.0)
+        with pytest.warns(DegeneracyWarning):
+            assert p_value(_estimates([5.5] * 4, 2)) == pytest.approx(1.0)
 
     def test_observed_min(self):
         assert p_value(_estimates([0, 1, 2], 1)) == pytest.approx(1.0)
@@ -366,6 +377,16 @@ class TestLookupBarAlpha:
         e = AlphaEntry(q1=2, q0=2, alpha=0.5, bar_alpha=0.5,
                        source="calibrated")
         assert e.order_index == 3 == e.to_json_dict()["order_index"]
+
+    def test_alpha_entry_levels_must_agree(self):
+        # the decision follows bar_alpha_exact and the record bar_alpha,
+        # so an entry carrying two different levels is refused
+        with pytest.raises(DomainError, match="different levels"):
+            AlphaEntry(q1=4, q0=4, alpha=0.1, bar_alpha=0.05, source="x",
+                       bar_alpha_exact=Fraction(1, 10))
+        e = AlphaEntry(q1=4, q0=4, alpha=0.1, bar_alpha=0.1, source="x",
+                       bar_alpha_exact=Fraction(0.1))
+        assert e.order_index == 63
 
 
 # ===========================================================================

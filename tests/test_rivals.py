@@ -1,5 +1,9 @@
-"""Tests for the comparison methods (group t, pooled cluster-robust t,
-wild cluster bootstrap)."""
+"""Tests for the comparison kernels: group t, pooled cluster-robust t
+and the wild cluster bootstrap.
+
+One-table calls go through _assemble, which sorts a data table's rows
+by cluster as pooled_t requires; the t references are applied here.
+"""
 
 import itertools
 import math
@@ -9,31 +13,45 @@ import numpy as np
 import pytest
 from scipy.stats import t as t_dist
 
-from clusterperm.errors import (
-    ContractError,
-    DegenerateDataError,
-    DomainError,
-    RankDeficientError,
-    ShapeError,
-)
-from clusterperm.permkit import Design, RngStream
-from clusterperm.permtest import ClusterEstimates
+from clusterperm.errors import DegenerateDataError, DomainError
+from clusterperm.permkit import RngStream
 from clusterperm.rivals import (
-    PooledRegressionSpec,
-    _assemble,
-    bch_test,
     bootstrap_p_values,
     dof_adjustment,
-    im_test,
+    group_t,
     pooled_t,
-    wild_cluster_bootstrap_test,
 )
+from clusterperm.simharness import NormalLocationConfig, _study_setup
+
+REGS = ("one", "x1", "tr")  # intercept, covariate, treatment indicator
 
 
-def _coef_se(data, spec):
+def _assemble(table, regs=("one", "x"), target="x"):
+    """pooled_t's arguments for a table with outcome "y" and cluster
+    column "cid": design and outcome rows sorted by cluster, the start
+    row of each cluster, the target column and the adjustment."""
+    _, codes = np.unique(np.asarray(table["cid"]), return_inverse=True)
+    order = np.argsort(codes, kind="stable")
+    q = int(codes.max()) + 1
+    x = np.column_stack([np.asarray(table[r], dtype=float) for r in regs])
+    y = np.asarray(table["y"], dtype=float)
+    return (x[order], y[order], np.searchsorted(codes[order], np.arange(q)),
+            regs.index(target), dof_adjustment(y.size, q, len(regs)))
+
+
+def _coef_se(table, regs=("one", "x"), target="x"):
     """The pooled OLS coefficient of the target and its cluster-robust
     standard error."""
-    return pooled_t(*_assemble(data, spec))[:2]
+    return pooled_t(*_assemble(table, regs, target))[:2]
+
+
+def _bootstrap(table, regs, target, B, stream):
+    """The observed t and the right, left and two-sided wild bootstrap
+    p-values from B sign vectors drawn from stream."""
+    x, y, starts, t_idx, adj = _assemble(table, regs, target)
+    signs = stream.generator().integers(0, 2, (B, len(starts))) * 2.0 - 1.0
+    _, _, t, t_star = pooled_t(x, y, starts, t_idx, adj, signs)
+    return float(t), tuple(map(float, bootstrap_p_values(t_star, t)))
 
 
 # =========================================================================
@@ -54,10 +72,6 @@ FOUR_POINT_SE = math.sqrt(0.0072)
 # Studentized two-sample statistic at (1,2,3 | 4,5,6): group means 2 and
 # 5, each sample variance 1, variance term 1/3 + 1/3.
 IM_ORACLE = -3.0 / math.sqrt(2.0 / 3.0)
-
-
-def _spec(regs=("one", "x"), target="x"):
-    return PooledRegressionSpec("y", regs, target, "cid")
 
 
 def _zero_mean_clusters(wide=False):
@@ -95,19 +109,17 @@ def _random_table(rng, q=4, n_per=5, scale_by_cluster=True):
             "x1": x1, "tr": tr, "cid": cid}
 
 
-def _enumerated_bootstrap_p(table, spec, side="right"):
+def _enumerated_bootstrap_p(table, regs, target, side="right"):
     """Independent oracle: enumerate every Rademacher sign vector,
-    rebuild the outcome from the restricted fit, refit through the
-    public estimator, and average the exceedance indicator."""
-    y = np.asarray(table[spec.outcome], dtype=float)
-    x = np.column_stack([np.asarray(table[r], dtype=float)
-                         for r in spec.regressors])
-    labels = np.asarray(table[spec.cluster])
-    _, codes = np.unique(labels, return_inverse=True)
+    rebuild the outcome from the restricted fit, refit through pooled_t
+    without signs, and average the exceedance indicator."""
+    y = np.asarray(table["y"], dtype=float)
+    x = np.column_stack([np.asarray(table[r], dtype=float) for r in regs])
+    _, codes = np.unique(np.asarray(table["cid"]), return_inverse=True)
     q = codes.max() + 1
-    t_idx = spec.regressors.index(spec.target)
+    t_idx = regs.index(target)
 
-    coef, se = _coef_se(table, spec)
+    coef, se = _coef_se(table, regs, target)
     t_obs = coef / se
     keep = [i for i in range(x.shape[1]) if i != t_idx]
     if keep:
@@ -120,9 +132,7 @@ def _enumerated_bootstrap_p(table, spec, side="right"):
     stats = []
     for g in itertools.product([-1.0, 1.0], repeat=int(q)):
         ystar = fit_r + resid * np.asarray(g)[codes]
-        t2 = dict(table)
-        t2[spec.outcome] = ystar
-        c, s = _coef_se(t2, spec)
+        c, s = _coef_se(dict(table, y=ystar), regs, target)
         stats.append(c / s)
     stats = np.asarray(stats)
     tol = 1e-9 * max(1.0, abs(t_obs))
@@ -134,26 +144,8 @@ def _enumerated_bootstrap_p(table, spec, side="right"):
 
 
 # =========================================================================
-# PooledRegressionSpec and the adjustment factor
+# The adjustment factor
 # =========================================================================
-
-class TestPooledRegressionSpec:
-    def test_valid(self):
-        spec = _spec(("one", "x", "tr"), "tr")
-        assert spec.d == 3
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(outcome="y", regressors=(), target="x", cluster="cid"),
-        dict(outcome="y", regressors=("x", "x"), target="x", cluster="cid"),
-        dict(outcome="y", regressors=("one",), target="x", cluster="cid"),
-        dict(outcome="y", regressors=("y", "x"), target="x", cluster="cid"),
-        dict(outcome="y", regressors=("cid", "x"), target="x", cluster="cid"),
-        dict(outcome="y", regressors=("x",), target="x", cluster="y"),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            PooledRegressionSpec(**kwargs)
-
 
 class TestDofAdjustment:
     def test_printed_arithmetic(self):
@@ -177,7 +169,7 @@ class TestDofAdjustment:
 
 class TestClusterRobustOls:
     def test_hand_oracle(self):
-        coef, se = _coef_se(FOUR_POINT, _spec())
+        coef, se = _coef_se(FOUR_POINT)
         assert coef == pytest.approx(FOUR_POINT_COEF, abs=1e-12)
         assert se == pytest.approx(FOUR_POINT_SE, abs=1e-12)
 
@@ -189,7 +181,7 @@ class TestClusterRobustOls:
         x = rng.normal(size=n)
         y = 1.0 + 0.5 * x + rng.normal(size=n)
         table = {"y": y, "one": np.ones(n), "x": x, "cid": np.arange(n)}
-        coef, se = _coef_se(table, _spec())
+        coef, se = _coef_se(table)
 
         xd = np.column_stack([np.ones(n), x])
         bread = np.linalg.inv(xd.T @ xd)
@@ -204,319 +196,199 @@ class TestClusterRobustOls:
     def test_duplication_leaves_coefficient_unchanged(self):
         rng = np.random.default_rng(5)
         table = _random_table(rng)
-        spec = _spec(("one", "x1", "tr"), "tr")
-        coef, _ = _coef_se(table, spec)
+        coef, _ = _coef_se(table, REGS, "tr")
         doubled = {k: np.concatenate([np.asarray(v), np.asarray(v)])
                    for k, v in table.items()}
-        coef2, _ = _coef_se(doubled, spec)
+        coef2, _ = _coef_se(doubled, REGS, "tr")
         assert coef2 == pytest.approx(coef, rel=1e-12)
 
-    def test_rank_deficient_design(self):
-        table = dict(FOUR_POINT)
-        table["x2"] = [2.0 * v for v in FOUR_POINT["x"]]
-        with pytest.raises(RankDeficientError):
-            _coef_se(table, _spec(("one", "x", "x2"), "x"))
-
     def test_tiny_covariate_is_not_rank_deficient(self):
-        # rank was judged against the largest pivoted column, so x scaled
-        # by 2^-40 next to the intercept was rejected
+        # x scaled by 2^-40 next to the intercept scales the coefficient
+        # and its standard error by 2^40 and nothing else
         table = dict(FOUR_POINT, x=[2.0 ** -40 * v for v in FOUR_POINT["x"]])
-        coef, se = _coef_se(table, _spec())
+        coef, se = _coef_se(table)
         assert coef == pytest.approx(2.0 ** 40 * FOUR_POINT_COEF, rel=1e-12)
         assert se == pytest.approx(2.0 ** 40 * FOUR_POINT_SE, rel=1e-12)
-
-    def test_missing_and_ragged_columns(self):
-        with pytest.raises(DomainError, match="missing"):
-            _coef_se(FOUR_POINT, _spec(("one", "zz"), "zz"))
-        bad = dict(FOUR_POINT)
-        bad["x"] = [0.0, 1.0]
-        with pytest.raises(ShapeError):
-            _coef_se(bad, _spec())
 
     def test_single_cluster_rejected(self):
         table = {"y": [1.0, 2.0], "one": [1.0, 1.0], "cid": ["a", "a"]}
         with pytest.raises(DomainError):
-            _coef_se(table, _spec(("one",), "one"))
+            _coef_se(table, ("one",), "one")
 
 
 # =========================================================================
-# im_test
+# group_t and its reference
 # =========================================================================
 
 class TestImTest:
     def test_hand_oracle(self):
-        est = ClusterEstimates(Design(3, 3), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        out = im_test(est, 0.05)
-        assert out.statistic == pytest.approx(IM_ORACLE, abs=1e-12)
-        assert out.extra["df"] == 2
-        assert out.method == "group-t"
+        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert group_t(x, 3) == pytest.approx(IM_ORACLE, abs=1e-12)
 
     def test_symmetric_data_retains(self):
-        est = ClusterEstimates(Design(3, 3), [1.0, 2.0, 3.0, 3.0, 2.0, 1.0])
-        out = im_test(est, 0.05)
-        assert out.statistic == 0.0
-        assert out.decision == "retain"
+        statistic = group_t(np.array([1.0, 2.0, 3.0, 3.0, 2.0, 1.0]), 3)
+        assert statistic == 0.0
+        assert not statistic > t_dist.ppf(0.95, 2)
 
     def test_degrees_of_freedom_six_six(self):
-        rng = np.random.default_rng(0)
-        est = ClusterEstimates(Design(6, 6), rng.normal(size=12))
-        out = im_test(est, 0.05)
-        assert out.extra["df"] == 5
-        assert out.critical_value == pytest.approx(
+        # the studies' critical value: t with min(q1, q0) - 1 = 5 df
+        assert _study_setup(NormalLocationConfig())[3] == pytest.approx(
             t_dist.ppf(0.95, 5), abs=1e-12)
 
     def test_unbalanced_df_uses_smaller_group(self):
-        rng = np.random.default_rng(1)
-        out = im_test(ClusterEstimates(Design(4, 9), rng.normal(size=13)),
-                      0.05)
-        assert out.extra["df"] == 3
+        cfg = NormalLocationConfig(q1=4, q0=9, alpha=0.10)
+        assert _study_setup(cfg)[3] == pytest.approx(t_dist.ppf(0.90, 3),
+                                                     abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         vals = rng.normal(size=10)
-        a = im_test(ClusterEstimates(Design(5, 5), vals), 0.05)
-        b = im_test(ClusterEstimates(Design(5, 5), vals + 11.5), 0.05)
-        assert b.statistic == pytest.approx(a.statistic, abs=1e-9)
+        assert group_t(vals + 11.5, 5) == pytest.approx(group_t(vals, 5),
+                                                        abs=1e-9)
 
     def test_swap_and_negation_each_flip_sign(self):
         rng = np.random.default_rng(4)
         t_vals = rng.normal(size=4)
         c_vals = rng.normal(size=7)
-        a = im_test(ClusterEstimates(
-            Design(4, 7), np.concatenate([t_vals, c_vals])), 0.05)
-        swapped = im_test(ClusterEstimates(
-            Design(7, 4), np.concatenate([c_vals, t_vals])), 0.05)
-        negated = im_test(ClusterEstimates(
-            Design(4, 7), np.concatenate([-t_vals, -c_vals])), 0.05)
-        both = im_test(ClusterEstimates(
-            Design(7, 4), np.concatenate([-c_vals, -t_vals])), 0.05)
-        assert swapped.statistic == pytest.approx(-a.statistic, rel=1e-12)
-        assert negated.statistic == pytest.approx(-a.statistic, rel=1e-12)
-        assert both.statistic == pytest.approx(a.statistic, rel=1e-12)
+        a = group_t(np.concatenate([t_vals, c_vals]), 4)
+        swapped = group_t(np.concatenate([c_vals, t_vals]), 7)
+        negated = group_t(np.concatenate([-t_vals, -c_vals]), 4)
+        both = group_t(np.concatenate([-c_vals, -t_vals]), 7)
+        assert swapped == pytest.approx(-a, rel=1e-12)
+        assert negated == pytest.approx(-a, rel=1e-12)
+        assert both == pytest.approx(a, rel=1e-12)
 
     def test_left_side_mirrors_right_on_negated(self):
+        # negating the data negates the statistic exactly, so the left
+        # tail of the negated data is the right tail of the data
         rng = np.random.default_rng(6)
         vals = rng.normal(size=8) + np.repeat([1.0, 0.0], 4)
-        right = im_test(ClusterEstimates(Design(4, 4), vals), 0.10, "right")
-        left = im_test(ClusterEstimates(Design(4, 4), -vals), 0.10, "left")
-        assert left.statistic == pytest.approx(-right.statistic, rel=1e-12)
-        assert left.decision == right.decision
-        assert left.p_value_left == pytest.approx(right.p_value_right,
-                                                  abs=1e-12)
-
-    def test_two_sided_uses_half_alpha_quantile(self):
-        rng = np.random.default_rng(8)
-        est = ClusterEstimates(Design(5, 5), rng.normal(size=10))
-        out = im_test(est, 0.10, "two-sided")
-        assert out.critical_value == pytest.approx(
-            t_dist.ppf(0.95, 4), abs=1e-12)
-        assert (out.decision == "reject") == (
-            abs(out.statistic) > out.critical_value)
+        right, left = group_t(np.stack([vals, -vals]), 4)
+        assert left == -right
+        assert t_dist.cdf(left, 3) == pytest.approx(t_dist.sf(right, 3),
+                                                    abs=1e-15)
 
     def test_errors(self):
-        with pytest.raises(ContractError):
-            im_test(ClusterEstimates(Design(1, 3), [1.0, 2.0, 3.0, 4.0]),
-                    0.05)
-        with pytest.raises(DegenerateDataError):
-            im_test(ClusterEstimates(Design(2, 2), [1.0, 1.0, 4.0, 4.0]),
-                    0.05)
-        est = ClusterEstimates(Design(2, 2), [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(DomainError):
-            im_test(est, 0.0)
-        with pytest.raises(DomainError):
-            im_test(est, 0.05, side="both")
+        # constant groups leave no variance to studentize by: the
+        # statistic is infinite with the sign of the mean difference, or
+        # nan at equal means, and no RuntimeWarning is raised
+        stats = group_t(np.array([[1.0, 1.0, 4.0, 4.0], [4.0, 4.0, 1.0, 1.0],
+                                  [2.0, 2.0, 2.0, 2.0]]), 2)
+        assert stats[0] == -math.inf and stats[1] == math.inf
+        assert math.isnan(stats[2])
 
 
 # =========================================================================
-# bch_test
+# pooled_t and its reference
 # =========================================================================
 
 class TestBchTest:
     def test_orthogonal_outcome_retains(self):
-        table = _zero_mean_clusters()
-        out = bch_test(table, PooledRegressionSpec(
-            "y", ("one", "tr"), "tr", "cid"), 0.05)
-        assert out.statistic == pytest.approx(0.0, abs=1e-12)
-        assert out.decision == "retain"
-        assert out.extra["coefficient"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_twelve_cluster_critical_value(self):
-        rng = np.random.default_rng(9)
-        table = _random_table(rng, q=12, n_per=4, scale_by_cluster=False)
-        out = bch_test(table, PooledRegressionSpec(
-            "y", ("one", "x1", "tr"), "tr", "cid"), 0.05)
-        assert out.extra["df"] == 11
-        assert out.critical_value == pytest.approx(1.7959, abs=2e-4)
+        coef, _, t = pooled_t(*_assemble(_zero_mean_clusters(),
+                                         ("one", "tr"), "tr"))
+        assert coef == pytest.approx(0.0, abs=1e-12)
+        assert t == pytest.approx(0.0, abs=1e-12)
+        assert not t > t_dist.ppf(0.95, 3)
 
     def test_statistic_matches_ols_ratio(self):
+        # least squares coefficient over the clustered sandwich se,
+        # both formed here from per-cluster score sums
         rng = np.random.default_rng(10)
         table = _random_table(rng, q=6, n_per=8)
-        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
-        coef, se = _coef_se(table, spec)
-        out = bch_test(table, spec, 0.05)
-        assert out.statistic == pytest.approx(coef / se, rel=1e-15)
+        t = pooled_t(*_assemble(table, REGS, "tr"))[2]
+        xd = np.column_stack([table[r] for r in REGS])
+        b, *_ = np.linalg.lstsq(xd, table["y"], rcond=None)
+        u = table["y"] - xd @ b
+        scores = np.stack([xd[table["cid"] == k].T @ u[table["cid"] == k]
+                           for k in range(6)])
+        bread = np.linalg.inv(xd.T @ xd)
+        var = (bread @ scores.T @ scores @ bread)[2, 2]
+        assert t == pytest.approx(
+            b[2] / math.sqrt(dof_adjustment(48, 6, 3) * var), rel=1e-10)
 
     def test_homogeneous_null_size_near_nominal(self):
         # identical clusters, no effect: rejection rate near alpha
         rng = np.random.default_rng(11)
-        spec = PooledRegressionSpec("y", ("one", "tr"), "tr", "cid")
-        rejections = 0
-        reps = 500
         cid = np.repeat(np.arange(12), 5)
-        tr = (cid < 6).astype(float)
-        for _ in range(reps):
-            table = {"y": rng.normal(size=60), "one": np.ones(60),
-                     "tr": tr, "cid": cid}
-            out = bch_test(table, spec, 0.05)
-            rejections += out.decision == "reject"
-        rate = rejections / reps
+        table = {"y": np.zeros(60), "one": np.ones(60),
+                 "tr": (cid < 6).astype(float), "cid": cid}
+        x, _, starts, t_idx, adj = _assemble(table, ("one", "tr"), "tr")
+        t = pooled_t(x, rng.normal(size=(500, 60)), starts, t_idx, adj)[2]
+        rate = float(np.mean(t > t_dist.ppf(0.95, 11)))
         assert 0.01 <= rate <= 0.12
-
-    def test_two_sided_and_left(self):
-        rng = np.random.default_rng(12)
-        table = _random_table(rng, q=8, n_per=6)
-        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
-        right = bch_test(table, spec, 0.05, "right")
-        two = bch_test(table, spec, 0.05, "two-sided")
-        assert two.critical_value == pytest.approx(
-            t_dist.ppf(0.975, 7), abs=1e-12)
-        assert right.p_value_two_sided == pytest.approx(
-            2 * min(right.p_value_right, right.p_value_left), abs=1e-15)
 
 
 # =========================================================================
-# wild_cluster_bootstrap_test
+# the wild cluster bootstrap: pooled_t with signs, bootstrap_p_values
 # =========================================================================
 
 class TestWildClusterBootstrap:
     def test_zero_statistic_gives_half_p(self):
-        table = _zero_mean_clusters(wide=True)
-        spec = PooledRegressionSpec("y", ("one", "tr"), "tr", "cid")
-        out = wild_cluster_bootstrap_test(table, spec, 0.05, B=4999,
-                                          rng=RngStream(1))
-        assert out.statistic == pytest.approx(0.0, abs=1e-12)
-        assert abs(out.p_value_right - 0.5) < 0.06
-        assert out.decision == "retain"
+        t, (p_right, _, _) = _bootstrap(_zero_mean_clusters(wide=True),
+                                        ("one", "tr"), "tr", 4999,
+                                        RngStream(1))
+        assert t == pytest.approx(0.0, abs=1e-12)
+        assert abs(p_right - 0.5) < 0.06
 
     def test_single_draw_p_values(self):
         rng = np.random.default_rng(13)
         table = _random_table(rng)
-        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
         for seed in range(6):
-            out = wild_cluster_bootstrap_test(table, spec, 0.5, B=1,
-                                              rng=RngStream(seed))
-            assert out.p_value_right in (0.5, 1.0)
+            _, (p_right, _, _) = _bootstrap(table, REGS, "tr", 1,
+                                            RngStream(seed))
+            assert p_right in (0.5, 1.0)
 
     @pytest.mark.parametrize("q,seed", [(4, 7), (5, 21)])
     def test_sampling_converges_to_enumeration(self, q, seed):
         rng = np.random.default_rng(40 + q)
         table = _random_table(rng, q=q, n_per=5)
-        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
-        p_exact, _ = _enumerated_bootstrap_p(table, spec)
+        p_exact, _ = _enumerated_bootstrap_p(table, REGS, "tr")
         B = 40_000
-        out = wild_cluster_bootstrap_test(table, spec, 0.05, B=B,
-                                          rng=RngStream(seed))
+        _, (p_right, _, _) = _bootstrap(table, REGS, "tr", B,
+                                        RngStream(seed))
         se = math.sqrt(p_exact * (1 - p_exact) / B)
-        assert abs(out.p_value_right - p_exact) < max(3 * se + 2 / B, 1e-4)
-        assert abs(out.p_value_right - p_exact) < 0.01
+        assert abs(p_right - p_exact) < max(3 * se + 2 / B, 1e-4)
+        assert abs(p_right - p_exact) < 0.01
 
     def test_enumeration_agreement_all_sides(self):
         rng = np.random.default_rng(44)
         table = _random_table(rng, q=4, n_per=6)
-        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
-        B = 40_000
-        for side in ("right", "left", "two-sided"):
-            p_exact, _ = _enumerated_bootstrap_p(table, spec, side)
-            out = wild_cluster_bootstrap_test(table, spec, 0.05, side=side,
-                                              B=B, rng=RngStream(3))
-            p_used = {"right": out.p_value_right, "left": out.p_value_left,
-                      "two-sided": out.p_value_two_sided}[side]
-            assert abs(p_used - p_exact) < 0.01
+        _, p_used = _bootstrap(table, REGS, "tr", 40_000, RngStream(3))
+        for side, p in zip(("right", "left", "two-sided"), p_used):
+            p_exact, _ = _enumerated_bootstrap_p(table, REGS, "tr", side)
+            assert abs(p - p_exact) < 0.01
 
     def test_target_only_design(self):
         # restricted fit with every other regressor removed is empty,
         # so the restricted residuals are the outcomes themselves
         rng = np.random.default_rng(15)
         table = _random_table(rng, q=4, n_per=5)
-        spec = PooledRegressionSpec("y", ("tr",), "tr", "cid")
-        p_exact, t_obs = _enumerated_bootstrap_p(table, spec)
-        out = wild_cluster_bootstrap_test(table, spec, 0.05, B=40_000,
-                                          rng=RngStream(2))
-        assert out.statistic == pytest.approx(t_obs, rel=1e-12)
-        assert abs(out.p_value_right - p_exact) < 0.01
+        p_exact, t_obs = _enumerated_bootstrap_p(table, ("tr",), "tr")
+        t, (p_right, _, _) = _bootstrap(table, ("tr",), "tr", 40_000,
+                                        RngStream(2))
+        assert t == pytest.approx(t_obs, rel=1e-12)
+        assert abs(p_right - p_exact) < 0.01
 
     def test_seed_reproducibility(self):
+        # one stream gives identical p-values, and asking for t* leaves
+        # the observed coefficient, se and t as they are without signs
         rng = np.random.default_rng(16)
         table = _random_table(rng, q=6, n_per=4)
-        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
-        a = wild_cluster_bootstrap_test(table, spec, 0.05, B=499,
-                                        rng=RngStream(99))
-        b = wild_cluster_bootstrap_test(table, spec, 0.05, B=499,
-                                        rng=RngStream(99))
-        assert a.p_value_right == b.p_value_right
-        assert a.critical_value == b.critical_value
-
-    def test_decision_matches_p_value(self):
-        rng = np.random.default_rng(17)
-        for seed in range(8):
-            table = _random_table(np.random.default_rng(100 + seed),
-                                  q=5, n_per=4)
-            spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr",
-                                        "cid")
-            out = wild_cluster_bootstrap_test(table, spec, 0.10, B=199,
-                                              rng=RngStream(seed))
-            assert (out.decision == "reject") == (out.p_value_right <= 0.10)
-            assert out.n_assignments == 199
-            assert out.assignment_source == "bootstrap"
+        a = _bootstrap(table, REGS, "tr", 499, RngStream(99))
+        assert a == _bootstrap(table, REGS, "tr", 499, RngStream(99))
+        args = _assemble(table, REGS, "tr")
+        signs = np.ones((3, 6))
+        assert pooled_t(*args, signs)[:3] == pooled_t(*args)
 
     def test_identity_tie_always_counted(self):
         # some replication reproduces the observed statistic whenever the
         # all-plus vector is drawn, so p can never fall below that mass
         rng = np.random.default_rng(18)
         table = _random_table(rng, q=3, n_per=5)
-        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
-        out = wild_cluster_bootstrap_test(table, spec, 0.05, B=8000,
-                                          rng=RngStream(5))
+        _, (p_right, _, _) = _bootstrap(table, REGS, "tr", 8000,
+                                        RngStream(5))
         # the all-plus share of 8000 draws is about 1/8
-        assert out.p_value_right > 0.05
-
-    def test_rng_forms_agree(self):
-        # an integer seed, None (seed 0), a stream and its generator
-        table = _zero_mean_clusters()
-        spec = PooledRegressionSpec("y", ("one", "tr"), "tr", "cid")
-
-        def run(rng):
-            return wild_cluster_bootstrap_test(table, spec, 0.05, B=99,
-                                               rng=rng)
-
-        assert run(7) == run(np.int64(7)) == run(RngStream(7))
-        assert run(RngStream(7)) == run(RngStream(7).generator())
-        assert run(None) == run(RngStream(0))
-        assert run(None) != run(7)
-
-    def test_invalid_arguments(self):
-        table = _zero_mean_clusters()
-        spec = PooledRegressionSpec("y", ("one", "tr"), "tr", "cid")
-        with pytest.raises(DomainError):
-            wild_cluster_bootstrap_test(table, spec, 0.05, B=0,
-                                        rng=RngStream(0))
-        with pytest.raises(DomainError):
-            wild_cluster_bootstrap_test(table, spec, 0.05, B=199,
-                                        rng="seed")
-        with pytest.raises(DomainError):
-            wild_cluster_bootstrap_test(table, spec, 1.5, B=199,
-                                        rng=RngStream(0))
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(19)
-        table = _random_table(rng, q=4, n_per=4)
-        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
-        out = wild_cluster_bootstrap_test(table, spec, 0.05, B=99,
-                                          rng=RngStream(1))
-        blob = out.to_json_dict()
-        assert blob["method"] == "wild-cluster-bootstrap"
-        assert blob["B"] == 99
-        assert blob["n_assignments"] == 99
+        assert p_right > 0.05
 
 
 # =========================================================================
@@ -525,7 +397,7 @@ class TestWildClusterBootstrap:
 
 class TestBatchedKernel:
     """One pooled_t call over a stack of same-layout datasets, as the
-    studies make it, against the single-dataset tests on each one."""
+    studies make it, against one call per dataset."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stacked_call_matches_single_calls(self, seed):
@@ -535,14 +407,13 @@ class TestBatchedKernel:
         cid = rng.permutation(np.repeat(np.arange(q), rng.integers(2, 7, q)))
         n = cid.size
         tr = (cid < q // 2).astype(float)
-        spec = PooledRegressionSpec("y", ("one", "x1", "tr"), "tr", "cid")
         tables = []
         for _ in range(5):
             x1 = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
             y = 0.4 * tr + 0.3 * x1 + rng.normal(size=n) * (1.0 + cid)
             tables.append({"y": y, "one": np.ones(n), "x1": x1, "tr": tr,
                            "cid": cid})
-        parts = [_assemble(table, spec) for table in tables]
+        parts = [_assemble(table, REGS, "tr") for table in tables]
         _, _, starts, t_idx, adj = parts[0]
         signs = np.stack([
             RngStream(seed, b).generator().integers(0, 2, size=(199, q))
@@ -550,13 +421,8 @@ class TestBatchedKernel:
         _, _, t, t_star = pooled_t(np.stack([p[0] for p in parts]),
                                    np.stack([p[1] for p in parts]), starts,
                                    t_idx, adj, signs)
-        p_right, p_left, p_two = bootstrap_p_values(t_star, t)
+        stacked = bootstrap_p_values(t_star, t)
         for b, table in enumerate(tables):
-            bch = bch_test(table, spec, 0.10)
-            wcb = wild_cluster_bootstrap_test(table, spec, 0.10, B=199,
-                                              rng=RngStream(seed, b))
-            assert t[b] == pytest.approx(bch.statistic, rel=1e-9)
-            assert (t[b] > bch.critical_value) == (bch.decision == "reject")
-            assert (p_right[b], p_left[b], p_two[b]) == (
-                wcb.p_value_right, wcb.p_value_left, wcb.p_value_two_sided)
-            assert (p_right[b] <= 0.10) == (wcb.decision == "reject")
+            t_b, p_b = _bootstrap(table, REGS, "tr", 199, RngStream(seed, b))
+            assert t[b] == pytest.approx(t_b, rel=1e-9)
+            assert tuple(p[b] for p in stacked) == p_b

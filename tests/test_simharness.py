@@ -1,9 +1,10 @@
 """Tests for the Monte Carlo study harness.
 
-The study blocks call the same rival kernels as the single-dataset
-tests; they are pinned, replication by replication, to the public
-single-dataset functions, which also covers the permutation arm and
-the DiD study's own per-cluster fits.
+The study blocks are pinned, replication by replication, to one-dataset
+references: adjusted_test for the permutation arm, scipy's Welch
+statistic for the group t-test, and one pooled_t call per dataset for
+the pooled t-test and the wild bootstrap, with the DiD study's
+per-cluster fits redone through per_cluster_ols.
 """
 
 import dataclasses
@@ -15,6 +16,8 @@ import zlib
 import numpy as np
 import pytest
 from scipy.signal import lfilter
+from scipy.stats import t as t_dist
+from scipy.stats import ttest_ind
 
 from clusterperm import simharness as sh
 from clusterperm.cli import config_from_strings, parse_key_value_file
@@ -25,13 +28,8 @@ from clusterperm.errors import (
 )
 from clusterperm.estimators import ClusterDataset, EstimatorSpec, per_cluster_ols
 from clusterperm.permkit import Design, RngStream
-from clusterperm.permtest import adjusted_test
-from clusterperm.rivals import (
-    PooledRegressionSpec,
-    bch_test,
-    im_test,
-    wild_cluster_bootstrap_test,
-)
+from clusterperm.permtest import ClusterEstimates, adjusted_test
+from clusterperm.rivals import bootstrap_p_values, dof_adjustment, pooled_t
 from clusterperm.simharness import (
     DidConfig,
     NormalLocationConfig,
@@ -85,17 +83,9 @@ def _did_draw(cfg: DidConfig, rep: int):
     return zw, zx2, zx3, u0, boot_state
 
 
-POOLED_SPEC = PooledRegressionSpec(
-    outcome="y",
-    regressors=("intercept", "post", "post_x_treated", "x1", "x2", "x3"),
-    target="post_x_treated",
-    cluster="cid",
-)
-
-
 def _did_reference_decisions(cfg: DidConfig, rep: int):
-    """Decisions of all four public tests on replication rep, for every
-    (h, delta) cell, computed through the single-dataset API."""
+    """Decisions of all four tests on replication rep, for every
+    (h, delta) cell, computed one dataset at a time."""
     q = cfg.q1 + cfg.q0
     t = cfg.n0 + cfg.n1
     i_t = np.concatenate([np.zeros(cfg.n0), np.ones(cfg.n1)])
@@ -105,6 +95,9 @@ def _did_reference_decisions(cfg: DidConfig, rep: int):
     cids = np.repeat(np.arange(q), t)
     post = np.tile(i_t, q)
     treated = np.repeat(d_k, t)
+    im_crit = t_dist.ppf(1 - cfg.alpha, min(cfg.q1, cfg.q0) - 1)
+    pool_crit = t_dist.ppf(1 - cfg.alpha, q - 1)
+    adj = dof_adjustment(q * t, q, 6)
     out = np.zeros((len(cfg.h_grid), len(cfg.delta_grid), 4), dtype=np.int64)
     for hi, h in enumerate(cfg.h_grid):
         sig = sh._sigmas(cfg, h)
@@ -121,21 +114,20 @@ def _did_reference_decisions(cfg: DidConfig, rep: int):
                                 outcome=y, covariates=covs,
                                 post=post.astype(int))
             theta = per_cluster_ols(ds, EstimatorSpec("did-slope"))
-            data = {"y": y, "cid": cids, "intercept": np.ones(q * t),
-                    "post": post, "post_x_treated": post * treated,
-                    "x1": covs[:, 0], "x2": covs[:, 1], "x3": covs[:, 2]}
+            # rows are cluster-major, so cluster k starts at row k * t
+            x = np.column_stack([np.ones(q * t), post, post * treated,
+                                 covs])
             gen = RngStream(cfg.seed, rep).generator()
             gen.bit_generator.state = boot_state
-            outcomes = (
-                adjusted_test(theta, cfg.alpha, side="right"),
-                im_test(theta, cfg.alpha, side="right"),
-                bch_test(data, POOLED_SPEC, cfg.alpha, side="right"),
-                wild_cluster_bootstrap_test(data, POOLED_SPEC, cfg.alpha,
-                                            side="right", B=cfg.bootstrap_B,
-                                            rng=gen),
-            )
-            for mi, o in enumerate(outcomes):
-                out[hi, di, mi] = o.decision == "reject"
+            signs = gen.integers(0, 2, (cfg.bootstrap_B, q)) * 2.0 - 1.0
+            _, _, t_obs, t_star = pooled_t(x, y, np.arange(0, q * t, t), 2,
+                                           adj, signs)
+            welch = ttest_ind(theta.values[:cfg.q1], theta.values[cfg.q1:],
+                              equal_var=False).statistic
+            out[hi, di] = (
+                adjusted_test(theta, cfg.alpha).decision == "reject",
+                welch > im_crit, t_obs > pool_crit,
+                bootstrap_p_values(t_star, t_obs)[0] <= cfg.alpha)
     return out
 
 
@@ -374,15 +366,17 @@ class TestNormalLocationStudy:
                                    replications=60, seed=2)
         table = run_normal_location_study(cfg)
         design = Design(5, 5)
+        im_crit = t_dist.ppf(1 - cfg.alpha, 4)
         for mu1 in cfg.mu1_grid:
             ap = im = 0
             for rep in range(cfg.replications):
                 x = _normal_draw(cfg, rep)
                 x[:cfg.q1] += mu1
                 x[cfg.q1:] += cfg.mu0
-                est = __import__("clusterperm.permtest", fromlist=["ClusterEstimates"]).ClusterEstimates(design, x)
-                ap += adjusted_test(est, cfg.alpha, side="right").decision == "reject"
-                im += im_test(est, cfg.alpha, side="right").decision == "reject"
+                est = ClusterEstimates(design, x)
+                ap += adjusted_test(est, cfg.alpha).decision == "reject"
+                im += ttest_ind(x[:cfg.q1], x[cfg.q1:],
+                                equal_var=False).statistic > im_crit
             reps = cfg.replications
             assert _rate(table, "adjusted-permutation", mu1=mu1) == ap / reps
             assert _rate(table, "group-t", mu1=mu1) == im / reps

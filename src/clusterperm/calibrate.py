@@ -16,11 +16,16 @@ float32 weight matrix).  Counted in float64, the same first-pass draws
 give a different count on 2,252 of 3,000,000 draws (6+5, seed 3): near
 ties that round the other way.  That is below the calibration's Monte
 Carlo error, so the float32 arithmetic is kept.
+
+Each variance pattern is scored on its own random stream, so the
+patterns of a pass are scored on a pool of threads, one per CPU the
+process may use, and the results do not depend on how many there are.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +41,7 @@ from .errors import (
 from .permkit import (
     Design,
     RngStream,
+    count_dtype,
     positive_int,
     relabeling_counts,
     sample_assignments,
@@ -92,6 +98,27 @@ class CalibrationParams:
 # shared two-pass search engine
 # ---------------------------------------------------------------------------
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on (all of them where the
+    platform has no affinity call, as on macOS and Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pattern_map(fn, patterns) -> list:
+    """[fn(r) for r in patterns], on one thread per CPU this process may
+    use; serial on one CPU.  fn's numpy work releases the interpreter
+    lock, so the threads run it in parallel."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(_cpus(), len(patterns))
+    if workers <= 1:
+        return [fn(r) for r in patterns]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, patterns))
+
+
 class _TwoPassEngine:
     """Cached per-pattern rejection counts over one assignment collection.
 
@@ -100,8 +127,11 @@ class _TwoPassEngine:
     every variance pattern at the first-pass size, so the rejection rate
     at any candidate threshold is a cheap comparison; second-pass counts
     are computed lazily per pattern and cached, which keeps the random
-    numbers common across every candidate level in the search.  Both
-    passes draw and count pattern by pattern.
+    numbers common across every candidate level in the search.  Each
+    pattern draws from its own stream, root.derived(pass, r), and its
+    counts go to their own row of c1 or cache entry, so both passes
+    score their patterns in parallel (`_pattern_map`) and every count is
+    the same whatever the thread count.
     """
 
     def __init__(self, design: Design, w: np.ndarray, variances: np.ndarray,
@@ -113,8 +143,13 @@ class _TwoPassEngine:
         self.root = root
         self._c2_cache: dict[int, np.ndarray] = {}
         self._sig32 = np.sqrt(variances).astype(np.float32)
-        self.c1 = np.stack([self._counts(1, r, params.S1)
-                            for r in range(params.R)])
+        self.c1 = np.empty((params.R, params.S1),
+                           dtype=count_dtype(self.w32.shape[1]))
+
+        def first_pass(r: int) -> None:
+            self.c1[r] = self._counts(1, r, params.S1)
+
+        _pattern_map(first_pass, range(params.R))
 
     def _counts(self, pass_: int, r: int, S: int) -> np.ndarray:
         """Counts of S float32 draws under pattern r, from the stream
@@ -123,11 +158,6 @@ class _TwoPassEngine:
         x = gen.standard_normal((S, self.design.q), dtype=np.float32)
         x *= self._sig32[r]
         return relabeling_counts(x, self.design, self.w32)
-
-    def _second_pass_counts(self, r: int) -> np.ndarray:
-        if r not in self._c2_cache:
-            self._c2_cache[r] = self._counts(2, r, self.params.S2)
-        return self._c2_cache[r]
 
     def worst_refined_rate(self, threshold: int) -> tuple[float, int, np.ndarray]:
         """(max second-pass rate, its pattern index, re-scored pattern
@@ -149,9 +179,13 @@ class _TwoPassEngine:
         else:
             n_take = k
         worst = order[:n_take]
+        new = [r for r in worst.tolist() if r not in self._c2_cache]
+        counts = _pattern_map(
+            lambda r: self._counts(2, r, self.params.S2), new)
+        self._c2_cache.update(zip(new, counts))
         best_rate, best_r = -1.0, int(worst[0])
         for r in worst:
-            rate = float((self._second_pass_counts(int(r)) <= threshold).mean())
+            rate = float((self._c2_cache[int(r)] <= threshold).mean())
             if rate > best_rate:
                 best_rate, best_r = rate, int(r)
         return best_rate, best_r, worst
@@ -176,14 +210,29 @@ def _draw_variances(params: CalibrationParams, root: RngStream, q: int,
     return np.clip(V, 1e-12, 1.0)
 
 
-def _diagnostics(method: str, params: CalibrationParams,
+def _rate_se(rate: float, params: CalibrationParams) -> float:
+    """Monte Carlo standard error of a second-pass rejection rate."""
+    return math.sqrt(rate * (1.0 - rate) / params.S2)
+
+
+def _diagnostics(method: str, params: CalibrationParams, alpha: float,
                  engine: _TwoPassEngine, worst_idx: np.ndarray,
                  final_rate: float, final_r: int, binding, extra: dict) -> dict:
+    """The calibration's diagnostics object.  binding, the rejected step
+    next to the result (or None), gains the standard error of its rate
+    and its margin over alpha + eta in standard errors (None at a zero
+    standard error, where every draw rejected)."""
+    if binding is not None:
+        se = _rate_se(binding["rate"], params)
+        margin = binding["rate"] - alpha - params.tolerance_eta
+        binding = {**binding, "rate_se": se,
+                   "margin_in_se": margin / se if se else None}
     diag = {
         "method": method,
         "seed": params.seed,
         "eta": params.tolerance_eta,
         "worst_rate": final_rate,
+        "worst_rate_se": _rate_se(final_rate, params),
         "worst_variances": engine.V[final_r].tolist(),
         "top_variances": engine.V[worst_idx].tolist(),
         "binding": binding,
@@ -245,9 +294,9 @@ def calibrate_exhaustive(design: Design, alpha: float,
         final = (rate, r_idx, worst)
     bar_exact = Fraction(n - j_star, n)
     diag = _diagnostics(
-        "exhaustive", params, engine, final[2], final[0], final[1], binding,
-        {"n_assignments": n, "j_star": j_star,
-         "restricted": variance_draws is not None})
+        "exhaustive", params, alpha, engine, final[2], final[0], final[1],
+        binding, {"n_assignments": n, "j_star": j_star,
+                  "restricted": variance_draws is not None})
     return AlphaEntry(q1=design.q1, q0=design.q0, alpha=float(alpha),
                       bar_alpha=float(bar_exact), source="calibrated",
                       bar_alpha_exact=bar_exact,
@@ -290,10 +339,10 @@ def calibrate_sampled(design: Design, alpha: float,
         rate, r_idx, worst = engine.worst_refined_rate(m - j_m)
         if rate <= limit:
             diag = _diagnostics(
-                "sampled", params, engine, worst, rate, r_idx, binding,
-                {"m": m, "j_m": j_m, "grid_step": float(step),
-                 "start": float(alpha), "n_assignments": n,
-                 "restricted": variance_draws is not None})
+                "sampled", params, alpha, engine, worst, rate, r_idx,
+                binding, {"m": m, "j_m": j_m, "grid_step": float(step),
+                          "start": float(alpha), "n_assignments": n,
+                          "restricted": variance_draws is not None})
             return AlphaEntry(q1=design.q1, q0=design.q0, alpha=float(alpha),
                               bar_alpha=float(p), source="calibrated",
                               bar_alpha_exact=p,

@@ -35,7 +35,12 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 _SAMPLE_ROWS = 1 << 12  # draws per sampling block
 _COUNT_ROWS = 1 << 16  # left sums per split-sum counting chunk
 _PROBE_SAMPLE = 1 << 12  # sums sampled to place a selection probe
-_PRODUCT_BYTES = 1 << 21  # bytes of x @ W per counting block
+_PRODUCT_BYTES = 1 << 19  # bytes of x @ W per counting block, per thread
+# multiply-adds per matmul call that fills a counting block: OpenBLAS
+# runs a GEMM this small on the calling thread (it spreads one over its
+# own threads from about 1e6), so threads that count in parallel do not
+# contend for its pool
+_BLOCK_MACS = 1 << 19
 # Largest magnitude of the locations, scales, slopes and effects of a
 # study or a power bound: a draw times a product of two of them, squared
 # and summed over a panel, stays far inside the float64 range, and so do
@@ -479,6 +484,12 @@ def _exact_integers(rows: np.ndarray, design: Design) -> bool:
             and bool(np.all(rows == np.rint(rows))))
 
 
+def count_dtype(m: int) -> type:
+    """The integer dtype of `relabeling_counts` over a weight matrix of m
+    columns: int16 while every count fits, else int64."""
+    return np.int16 if m < 1 << 15 else np.int64
+
+
 def relabeling_counts(x, design: Design, w: np.ndarray | None = None
                       ) -> np.ndarray:
     """For each row of x (shape (..., q)), the number of relabelings
@@ -495,7 +506,10 @@ def relabeling_counts(x, design: Design, w: np.ndarray | None = None
     above the cap, each row is counted on its treated-entry sums, which
     order the assignments as the statistic does, by `enumeration_sums`
     instead: the (size, sum) table on integer rows, split subset sums
-    otherwise.  Counts past 2^63 are then Python ints.
+    otherwise.  Counts past 2^63 are then Python ints.  Several threads
+    may call it at once: each product block is its own, and is filled by
+    matmuls of at most _BLOCK_MACS multiply-adds, which stay on the
+    calling thread.
     """
     x = np.asarray(x)
     if x.dtype != np.float32:
@@ -518,9 +532,15 @@ def relabeling_counts(x, design: Design, w: np.ndarray | None = None
         # integers q1*q0*W gives every statistic times q1*q0 exactly
         w = np.rint(w * (design.q1 * design.q0))
     m = w.shape[1]
-    dtype = np.int16 if m < 1 << 15 else np.int64
+    dtype = count_dtype(m)
     step = max(design.q, _PRODUCT_BYTES // (m * x.itemsize))
+    sub = max(1, _BLOCK_MACS // (design.q * m))
+    product = np.empty((min(step, len(rows)), m), dtype=x.dtype)
     out = np.empty(len(rows), dtype=dtype)
     for lo in range(0, len(rows), step):
-        out[lo:lo + step] = count_at_or_above(rows[lo:lo + step] @ w, dtype)
+        block = rows[lo:lo + step]
+        p = product[:len(block)]
+        for s in range(0, len(block), sub):
+            np.matmul(block[s:s + sub], w, out=p[s:s + sub])
+        out[lo:lo + step] = count_at_or_above(p, dtype)
     return out.reshape(x.shape[:-1])

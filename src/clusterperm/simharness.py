@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import DomainError
 from .permkit import (
     Design,
     RngStream,
@@ -63,13 +63,10 @@ _METHODS_DID = ("adjusted-permutation", "group-t", "pooled-cluster-t",
 def _study_setup(cfg):
     """(design, adjustment entry, the largest relabeling count at which
     the permutation arm rejects, the group t-test's critical value) of a
-    study, or an error if its design and level have no adjustment or the
-    group t-test has too few clusters."""
+    study, or an error if its design and level have no adjustment."""
     from scipy.special import stdtrit
 
     entry = lookup_bar_alpha(cfg.q1, cfg.q0, cfg.alpha)
-    if min(cfg.q1, cfg.q0) < 2:
-        raise ContractError("the group t-test needs q1 >= 2 and q0 >= 2")
     design = Design(cfg.q1, cfg.q0)
     return (design, entry, design.n_assignments - entry.order_index,
             stdtrit(min(cfg.q1, cfg.q0) - 1, 1.0 - cfg.alpha))

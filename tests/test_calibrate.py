@@ -10,12 +10,14 @@ Tabulated anchor values are pinned with the tolerances stated alongside.
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from clusterperm import calibrate
 from clusterperm.calibrate import (
     CalibrationParams,
     _TwoPassEngine,
@@ -240,6 +242,78 @@ class TestTwoPassEngineMemory:
             tracemalloc.stop()
         assert peak < 16e6
         assert engine.c1.shape == (60, 1000)
+
+
+class TestThreadCount:
+    """Each pattern is scored on its own stream, so the thread count of
+    the pattern pool changes no count and no result."""
+
+    def test_first_pass_rows_equal_serial_counts(self, monkeypatch):
+        d = Design(5, 4)
+        params = CalibrationParams(R=40, S1=300, S2=500, seed=11)
+        root = RngStream(11)
+        variances = calibrate._draw_variances(params, root, d.q, None)
+        w32 = weight_matrix(d).astype(np.float32)
+        # more threads than CPUs, switching often, to shake out a lost row
+        monkeypatch.setattr(calibrate, "_cpus", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            engine = _TwoPassEngine(d, w32, variances, params, root)
+        finally:
+            sys.setswitchinterval(interval)
+        for r in range(params.R):
+            x = root.derived(1, r).generator().standard_normal(
+                (params.S1, d.q), dtype=np.float32)
+            x *= np.sqrt(variances[r]).astype(np.float32)
+            np.testing.assert_array_equal(
+                engine.c1[r], relabeling_counts(x, d, w32), err_msg=str(r))
+
+    @pytest.mark.parametrize("calibrator,design", [
+        (calibrate_exhaustive, Design(5, 4)),
+        (calibrate_sampled, Design(9, 9)),
+    ])
+    def test_entries_do_not_depend_on_thread_count(self, monkeypatch,
+                                                   calibrator, design):
+        params = CalibrationParams(R=200, S1=200, S2=800, m=600, seed=9)
+        entries = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(calibrate, "_cpus", lambda t=threads: t)
+            entries.append(calibrator(design, 0.10, params))
+        for entry in entries[1:]:
+            assert entry == entries[0]
+            assert entry.bar_alpha_exact == entries[0].bar_alpha_exact
+            assert entry.diagnostics == entries[0].diagnostics
+
+
+class TestMonteCarloError:
+    def test_standard_errors_and_margin(self):
+        params = CalibrationParams(R=200, S1=200, S2=1000, seed=5)
+        diag = calibrate_exhaustive(Design(4, 4), 0.10, params).diagnostics
+        rate = diag["worst_rate"]
+        assert diag["worst_rate_se"] == math.sqrt(rate * (1 - rate) / 1000)
+        binding = diag["binding"]
+        se = math.sqrt(binding["rate"] * (1 - binding["rate"]) / 1000)
+        assert binding["rate_se"] == se
+        assert binding["margin_in_se"] == (binding["rate"] - 0.10) / se
+        assert binding["margin_in_se"] > 0
+
+    def test_margin_counts_eta_against_the_rate(self):
+        params = CalibrationParams(R=200, S1=200, S2=800, m=600, seed=9,
+                                   tolerance_eta=0.01)
+        binding = calibrate_sampled(Design(9, 9), 0.10,
+                                    params).diagnostics["binding"]
+        assert binding["margin_in_se"] == pytest.approx(
+            (binding["rate"] - 0.11) / binding["rate_se"], rel=1e-12)
+
+    def test_zero_standard_error_has_no_margin(self):
+        # one second-pass draw: every rate is 0 or 1
+        params = CalibrationParams(R=50, S1=50, S2=1, seed=0)
+        diag = calibrate_exhaustive(Design(4, 4), 0.10, params).diagnostics
+        assert diag["worst_rate_se"] == 0.0
+        assert diag["binding"]["rate"] == 1.0
+        assert diag["binding"]["rate_se"] == 0.0
+        assert diag["binding"]["margin_in_se"] is None
 
 
 # ===========================================================================

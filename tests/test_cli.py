@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from clusterperm import cli, simharness
 from clusterperm.calibrate import CalibrationParams, calibrate_exhaustive
 from clusterperm.cli import dispatch
-from clusterperm.errors import DegeneracyWarning
+from clusterperm.errors import DegeneracyWarning, InfeasibleLevelError
 from clusterperm.estimators import ingest_csv
 from clusterperm.permkit import Design, RngStream
 from clusterperm.permtest import (
@@ -628,6 +628,24 @@ class TestSimulateCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError"
         assert "abc" in error["message"]
+
+    @pytest.mark.parametrize("study", ["normal", "did"])
+    @pytest.mark.parametrize("q1,q0", [(1, 3), (3, 12)])
+    def test_design_below_the_table_exits_two(self, capsys, tmp_path,
+                                              study, q1, q0):
+        # the table starts at 4 clusters per group, so the lookup refuses
+        # every design too small for the group t-test
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(f"q1={q1}\nq0={q0}\nreplications=2\n"
+                       + ("h_grid=1\n" if study == "did" else ""))
+        code, _, err = run_cli(capsys, "simulate", "--study", study,
+                               "--config", str(cfg),
+                               "--out", str(tmp_path / "x.csv"))
+        error = json.loads(err)["error"]
+        assert code == 2 and error["type"] == "InfeasibleLevelError"
+        with pytest.raises(InfeasibleLevelError) as lookup:
+            lookup_bar_alpha(q1, q0, 0.05)
+        assert error["message"] == str(lookup.value)
 
     def test_non_integer_count_exits_two_naming_key_and_value(
             self, capsys, tmp_path):

@@ -362,13 +362,19 @@ class TestRelabelingCounts:
              ).astype(dtype)
         one_shot = count_at_or_above(x @ w.astype(dtype))
         # 1 byte gives the floor of q = 11 rows; the others give 12 and
-        # 17 rows; every one ends blocks inside a set of 13 rows
+        # 17 rows; every one ends blocks inside a set of 13 rows.  Each
+        # block is filled by matmuls of 1 row, of 5 rows (the last one
+        # ends inside the block) or of the whole block
+        row_macs = d.q * d.n_assignments
         for size in (1, 12 * d.n_assignments * x.itemsize,
                      17 * d.n_assignments * x.itemsize, 1 << 21):
-            monkeypatch.setattr(permkit, "_PRODUCT_BYTES", size)
-            got = relabeling_counts(x, d)
-            assert got.shape == (7, 13)
-            np.testing.assert_array_equal(got, one_shot, err_msg=str(size))
+            for macs in (1, 5 * row_macs, 1 << 19):
+                monkeypatch.setattr(permkit, "_PRODUCT_BYTES", size)
+                monkeypatch.setattr(permkit, "_BLOCK_MACS", macs)
+                got = relabeling_counts(x, d)
+                assert got.shape == (7, 13)
+                np.testing.assert_array_equal(got, one_shot,
+                                              err_msg=f"{size} {macs}")
 
     def test_explicit_collection_keeps_float32(self):
         d = Design(7, 6)

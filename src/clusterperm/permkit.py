@@ -128,7 +128,8 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed,
                                      spawn_key=(self.stream_id, *self.subkey))
-        return np.random.default_rng(seq)
+        # what default_rng(seq) builds, without its argument dispatch
+        return np.random.Generator(np.random.PCG64(seq))
 
     def derived(self, *key: int) -> "RngStream":
         return RngStream(self.seed, self.stream_id, self.subkey + key)

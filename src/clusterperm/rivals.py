@@ -17,6 +17,20 @@ group_t, pooled_t and bootstrap_p_values.  The Monte Carlo studies in
 simharness call them on a block of replications and apply the t
 references themselves.  pooled_t takes rows sorted by cluster, so
 cluster sums are one np.add.reduceat over the row axis.
+
+pooled_t also takes a grid of shifts s of the outcome along the target
+column x_t, which is how a study's effect grid enters the pooled
+outcome: y(s) = y + s x_t.  x_t is a column of the design, so the fit of
+y(s) is the fit of y with s added to the target coefficient, and the
+residuals, the sandwich and the se do not change; t(s) = (beta + s)/se.
+The restricted fit drops x_t, so there its residuals do change, but
+linearly: they are those of y plus s times those of x_t.  Everything the
+bootstrap forms from them before the signs act (the per-cluster target
+scores and the q x q sandwich map) is linear as well, so one restricted
+fit of the two basis outcomes y and x_t gives every shift, and only the
+sign products are formed per shift.  The identities are exact in exact
+arithmetic; in floating point the statistics agree with a fit of each
+shifted outcome to roundoff.
 """
 
 from __future__ import annotations
@@ -37,7 +51,8 @@ def dof_adjustment(n: int, q: int, d: int) -> float:
 
 
 def pooled_t(x: np.ndarray, y: np.ndarray, starts: np.ndarray, t_idx: int,
-             adj: float, signs: np.ndarray | None = None):
+             adj: float, signs: np.ndarray | None = None,
+             shifts: np.ndarray | None = None):
     """Pooled OLS coefficient of column t_idx, its cluster-robust
     standard error and their ratio t, over any leading batch axes.
 
@@ -45,6 +60,12 @@ def pooled_t(x: np.ndarray, y: np.ndarray, starts: np.ndarray, t_idx: int,
     cluster k's rows starting at starts[k]; adj scales the sandwich
     variance.  With Rademacher signs (..., R, q) the restricted wild
     cluster bootstrap statistics t* (..., R) are returned as well.
+
+    With shifts (D,), the outcomes are y + s * x[..., t_idx] for each
+    shift s, and every output gains a shift axis: the coefficient, se
+    and t are (..., D) and t* (..., D, R).  The shifted outcomes are
+    never fitted: see the module docstring for why one fit of y and one
+    restricted fit of the target column give every shift.
     """
     gram = x.mT @ x
     bread = np.linalg.inv(gram)
@@ -52,11 +73,13 @@ def pooled_t(x: np.ndarray, y: np.ndarray, starts: np.ndarray, t_idx: int,
     xty = np.vecmat(y, x)
     coef = np.matvec(bread, xty)
     resid = y - np.matvec(x, coef)
-    # one buffer holds the full, then the restricted, score products
-    products = x * resid[..., None]
-    scores = np.add.reduceat(products, starts, axis=-2)
+    scores = np.add.reduceat(x * resid[..., None], starts, axis=-2)
     se = np.sqrt(adj * np.square(np.matvec(scores, a)).sum(axis=-1))
     beta = coef[..., t_idx]
+    if shifts is not None:
+        shifts = np.asarray(shifts, dtype=float)
+        beta = beta[..., None] + shifts
+        se = np.repeat(se[..., None], len(shifts), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = beta / se
     if signs is None:
@@ -73,23 +96,36 @@ def pooled_t(x: np.ndarray, y: np.ndarray, starts: np.ndarray, t_idx: int,
     # a' X_j' resid*_j(g) are then the rows of M g, with
     #   M = diag(sum_{i in j} xa_i resid_i) - C R',
     #   C_j = sum_{i in j} xa_i X_i bread,  xa = X a.
+    # With shifts, the restricted fit is made once for each of the basis
+    # outcomes y and x_t, stacked on a new leading axis; rho and M are
+    # linear in the outcome, so those of y + s x_t are rho_y + s rho_x
+    # and M_y + s M_x.
+    basis, xt_basis = y, xty
+    if shifts is not None:
+        basis = np.stack([y, x[..., t_idx]])
+        xt_basis = np.stack([xty, gram[..., t_idx, :]])
     keep = [i for i in range(x.shape[-1]) if i != t_idx]
-    resid_r = y
+    resid_r = basis
     if keep:
         coef_r = np.matvec(np.linalg.inv(gram[..., keep, :][..., keep]),
-                           xty[..., keep])
-        resid_r = y - np.matvec(x[..., keep], coef_r)
-    r_scores = np.add.reduceat(
-        np.multiply(x, resid_r[..., None], out=products), starts, axis=-2)
+                           xt_basis[..., keep])
+        resid_r = basis - np.matvec(x[..., keep], coef_r)
+    r_scores = np.add.reduceat(x * resid_r[..., None], starts, axis=-2)
     xa = np.matvec(x, a)
     m = -(np.add.reduceat(xa[..., None] * (x @ bread), starts, axis=-2)
           @ r_scores.mT)
     q = len(starts)
     m[..., np.arange(q), np.arange(q)] += np.add.reduceat(xa * resid_r,
                                                           starts, axis=-1)
-    coef_star = np.matvec(signs, np.matvec(r_scores, a))
+    rho = np.matvec(r_scores, a)
+    if shifts is not None:
+        s = shifts[:, None]
+        rho = rho[0, ..., None, :] + s * rho[1, ..., None, :]
+        m = m[0, ..., None, :, :] + s[..., None] * m[1, ..., None, :, :]
+        signs = signs[..., None, :, :]
+    coef_star = np.matvec(signs, rho)
     sign_products = signs @ m.mT
-    var_star = adj * np.square(sign_products, out=sign_products).sum(axis=-1)
+    var_star = adj * np.einsum("...i,...i->...", sign_products, sign_products)
     t_star = np.divide(coef_star, np.sqrt(var_star),
                        out=np.zeros_like(coef_star), where=var_star > 0.0)
     return beta, se, t, t_star

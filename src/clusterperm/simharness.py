@@ -14,15 +14,20 @@ Draw order per replication:
   factors and effect shifts are applied outside the generator, so every
   (h, delta) grid cell reuses the same underlying randomness.
 
+A DiD cell's outcome is the outcome at delta = 0 plus delta times the
+pooled target column I_t * D_k, so each replication is fitted once per
+h: the per-cluster slopes of a cell are those at delta = 0 plus delta *
+D_k, and pooled_t derives every cell's pooled t and bootstrap t* from
+the shifts along its target column.
+
 Replications are scheduled in blocks, which run in one process or are
 spread over a worker pool and are each decided at once; counts add up
 and data checksums XOR together across blocks.  A normal-study block
 holds _BLOCK replications.  A DiD block holds at most that many, and
-few enough that the largest per-replication intermediate, the bootstrap
-sign products of |delta_grid| * bootstrap_B * q doubles, stays within
-_DID_BYTES, so a worker's peak memory stays bounded whatever
-bootstrap_B and the grids are.  Every replication draws from its own
-stream, so the block size does not change a result.  The permutation
+few enough that the largest per-replication intermediate stays within
+_DID_BYTES (see _did_step), so a worker's peak memory stays bounded
+whatever bootstrap_B and the grids are.  Every replication draws from
+its own stream, so the block size does not change a result.  The permutation
 arm counts relabelings with permkit.relabeling_counts, through the
 weight matrix or, above its cap, by enumeration_sums; the rivals come
 from the batched kernels in rivals (group_t, pooled_t,
@@ -275,14 +280,15 @@ POOLED_COLUMNS = ("intercept", "post", "post_x_treated", "x1", "x2", "x3")
 def _did_step(cfg: DidConfig) -> int:
     """Replications per DiD block at most: as many as keep the largest
     per-replication intermediate within _DID_BYTES, and at least one.
-    That is the bootstrap sign products (|delta_grid| * bootstrap_B * q
-    doubles) unless the AR(1) innovations ((burn_in + T) * q) or the
-    pooled score products (|delta_grid| * q * T * 6) are larger."""
+    The candidates, in doubles: the bootstrap sign products, |delta_grid|
+    * bootstrap_B * q (or the per-delta sandwich matrices, |delta_grid| *
+    q * q, if q is larger); the restricted score products of the two
+    basis outcomes, 2 * T * 6 * q, which do not grow with the delta grid;
+    and the AR(1) innovations, (burn_in + T) * q."""
     q = cfg.q1 + cfg.q0
     t = cfg.n0 + cfg.n1
-    widest = max(len(cfg.delta_grid)
-                 * max(cfg.bootstrap_B, t * len(POOLED_COLUMNS)),
-                 cfg.burn_in + t)
+    widest = max(len(cfg.delta_grid) * max(cfg.bootstrap_B, q),
+                 2 * t * len(POOLED_COLUMNS), cfg.burn_in + t)
     return max(1, _DID_BYTES // (8 * q * widest))
 
 
@@ -303,10 +309,8 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
     checksum = 0
     for i, rep in enumerate(range(lo, hi)):
         gen = RngStream(cfg.seed, rep).generator()
-        zv[i] = gen.standard_normal((total_t, q))
-        zw[i] = gen.standard_normal((t, q))
-        zx2[i] = gen.standard_normal((t, q))
-        zx3[i] = gen.standard_normal((t, q))
+        for arr in (zv[i], zw[i], zx2[i], zx3[i]):
+            gen.standard_normal(out=arr)
         signs[i] = gen.integers(0, 2, size=(b_boot, q)) * 2.0 - 1.0
         for arr in (zv[i], zw[i], zx2[i], zx3[i], signs[i]):
             checksum ^= zlib.crc32(arr.tobytes())
@@ -318,11 +322,11 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
     t_idx = POOLED_COLUMNS.index("post_x_treated")
     adj = dof_adjustment(n_pool, q, len(POOLED_COLUMNS))
     t_crit_pool = stdtrit(q - 1, 1.0 - cfg.alpha)
-    deltas = np.asarray(cfg.delta_grid)[:, None, None]
+    deltas = np.asarray(cfg.delta_grid)
 
     # pooled design rows are cluster-major: cluster 0 periods 1..T, then
-    # cluster 1, and so on; axis 1 broadcasts over the delta grid
-    x_pool = np.empty((n_rep, 1, n_pool, len(POOLED_COLUMNS)))
+    # cluster 1, and so on
+    x_pool = np.empty((n_rep, n_pool, len(POOLED_COLUMNS)))
     x_pool[..., 0] = 1.0
     x_pool[..., 1] = np.tile(i_t, q)
     x_pool[..., 2] = x_pool[..., 1] * np.repeat(d_k, t)
@@ -333,13 +337,15 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
         x1 = cfg.gamma * itd + sig * zw
         x2 = sig * zx2
         x3 = sig * zx3
+        # the outcome at delta = 0, (rep, cluster, T); a cell's outcome
+        # adds delta * I_t * D_k, which is the pooled target column
         y_base = (cfg.theta0 * i_t[:, None] + cfg.beta1 * x1
-                  + cfg.beta2 * x2 + cfg.beta3 * x3 + cfg.zeta + sig * u0)
-        # (rep, delta, cluster, T)
-        y = (y_base[:, None] + deltas * itd).transpose(0, 1, 3, 2)
+                  + cfg.beta2 * x2 + cfg.beta3 * x3 + cfg.zeta
+                  + sig * u0).transpose(0, 2, 1)
 
         # per-cluster least squares on [I_t, X1, X2, X3, 1]: theta, the
-        # I_t slope, is (rep, delta, cluster)
+        # I_t slope.  Its weights have dot product 1 with I_t, so a
+        # cell's slopes are theta(0) + delta * D_k, (rep, delta, cluster)
         dloc = np.empty((n_rep, q, t, 5))
         dloc[..., 0] = i_t
         for c, z in enumerate((x1, x2, x3), start=1):
@@ -347,11 +353,14 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
         dloc[..., 4] = 1.0
         gram_loc = np.einsum("bktd,bkte->bkde", dloc, dloc, optimize=True)
         slope_w = np.matvec(dloc, np.linalg.inv(gram_loc)[..., 0, :])
-        theta = np.vecdot(slope_w[:, None], y)
+        theta = (np.vecdot(slope_w, y_base)[:, None]
+                 + deltas[:, None] * d_k)
 
-        x_pool[:, 0, :, 3:] = dloc[..., 1:4].reshape(n_rep, n_pool, 3)
-        _, _, t_obs, t_star = pooled_t(x_pool, y.reshape(n_rep, -1, n_pool),
-                                       starts, t_idx, adj, signs[:, None])
+        # the cells' pooled outcomes are y_base shifted along the target
+        # column, so one fit of y_base gives every delta
+        x_pool[..., 3:] = dloc[..., 1:4].reshape(n_rep, n_pool, 3)
+        _, _, t_obs, t_star = pooled_t(x_pool, y_base.reshape(n_rep, n_pool),
+                                       starts, t_idx, adj, signs, deltas)
         flags = (relabeling_counts(theta, design) <= count_max,
                  group_t(theta, cfg.q1) > t_crit_im,
                  t_obs > t_crit_pool,

@@ -240,6 +240,17 @@ class TestRngStream:
         c = s.generator().standard_normal(4)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed,stream_id,subkey",
+                             [(0, 0, ()), (7, 3, (1,)), (2**64 - 1, 11, (0, 5)),
+                              (123, 2**63, (4, 0, 9))])
+    def test_generator_state_matches_default_rng(self, seed, stream_id,
+                                                 subkey):
+        seq = np.random.SeedSequence(entropy=seed,
+                                     spawn_key=(stream_id, *subkey))
+        want = np.random.default_rng(seq).bit_generator.state
+        got = RngStream(seed, stream_id, subkey).generator()
+        assert got.bit_generator.state == want
+
     def test_validation(self):
         with pytest.raises(DomainError):
             RngStream(-1)

@@ -426,3 +426,53 @@ class TestBatchedKernel:
             t_b, p_b = _bootstrap(table, REGS, "tr", 199, RngStream(seed, b))
             assert t[b] == pytest.approx(t_b, rel=1e-9)
             assert tuple(p[b] for p in stacked) == p_b
+
+
+class TestShiftedOutcomes:
+    """pooled_t(..., shifts=s) on a stack of datasets against one call
+    per shift on the shifted outcome y + s_i * x[:, t_idx]."""
+
+    SHIFTS = np.array([0.5, -3.0, 1e6, 0.5, -0.25, 0.0, 2.0])
+
+    @staticmethod
+    def _stack(seed):
+        rng = np.random.default_rng(seed)
+        q = 7
+        # unequal cluster sizes, so each cluster sum is a reduceat slice
+        sizes = rng.integers(2, 7, q)
+        cid = np.repeat(np.arange(q), sizes)
+        n = cid.size
+        tr = (cid < 3).astype(float)
+        x = np.stack([np.column_stack([np.ones(n), rng.normal(size=n),
+                                       tr, rng.normal(size=n) * 5.0])
+                      for _ in range(3)])
+        y = 0.4 * x[..., 2] + x[..., 1] + rng.normal(size=(3, n)) * (1 + cid)
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        signs = rng.integers(0, 2, (3, 99, q)) * 2.0 - 1.0
+        signs[:, 0] = 1.0
+        return x, y, starts, 2, dof_adjustment(n, q, 4), signs
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("with_signs", [False, True])
+    def test_matches_per_shift_calls(self, seed, with_signs):
+        x, y, starts, t_idx, adj, signs = self._stack(seed)
+        signs = signs if with_signs else None
+        got = pooled_t(x, y, starts, t_idx, adj, signs, shifts=self.SHIFTS)
+        for i, s in enumerate(self.SHIFTS):
+            want = pooled_t(x, y + s * x[..., t_idx], starts, t_idx, adj,
+                            signs)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g[:, i], w, rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_all_plus_row_ties_with_t(self, seed):
+        x, y, starts, t_idx, adj, signs = self._stack(seed)
+        _, _, t, t_star = pooled_t(x, y, starts, t_idx, adj, signs,
+                                   shifts=self.SHIFTS)
+        assert t.shape == (3, len(self.SHIFTS))
+        assert t_star.shape == (3, len(self.SHIFTS), 99)
+        tol = 1e-9 * np.maximum(1.0, np.abs(t))
+        assert np.all(np.abs(t_star[..., 0] - t) <= tol)
+        # so every right p-value counts the all-plus row
+        assert np.all(bootstrap_p_values(t_star, t)[0] >= 2 / 100)

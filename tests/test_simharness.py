@@ -442,12 +442,17 @@ class TestNormalLocationStudy:
 
 class TestDidStudy:
     def test_matches_public_api_per_replication(self):
-        cfg = DidConfig(seed=3, replications=6, h_grid=(1, 5),
-                        delta_grid=(0.0, 2.0))
-        counts, _ = sh._did_block(cfg, 0, cfg.replications)
-        expect = sum(_did_reference_decisions(cfg, rep)
-                     for rep in range(cfg.replications))
-        assert np.array_equal(counts, expect)
+        # the second grid is unsorted, negative and lacks 0: the block
+        # shifts every cell from the delta = 0 outcome, which no grid
+        # entry names, while the reference fits each cell on its own
+        for cfg in (DidConfig(seed=3, replications=6, h_grid=(1, 5),
+                              delta_grid=(0.0, 2.0)),
+                    DidConfig(seed=3, replications=6, h_grid=(1, 7),
+                              delta_grid=(2.5, -1.0, 0.75))):
+            counts, _ = sh._did_block(cfg, 0, cfg.replications)
+            expect = sum(_did_reference_decisions(cfg, rep)
+                         for rep in range(cfg.replications))
+            assert np.array_equal(counts, expect)
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setattr(sh, "_BLOCK", 8)
@@ -486,18 +491,23 @@ class TestDidStudy:
 
     def test_peak_memory_is_bounded_in_bootstrap_B(self):
         # one 256-replication block held all sign products at once:
-        # a 468 MB traced peak at these settings
+        # a 468 MB traced peak at the first settings.  At the second,
+        # the innovations bound the block, not the small sign products:
+        # the score products no longer grow with the delta grid
         import tracemalloc
 
-        cfg = DidConfig(replications=256, bootstrap_B=999, h_grid=(1,),
-                        delta_grid=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
-        tracemalloc.start()
-        try:
-            run_did_study(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        for cfg in (DidConfig(replications=256, bootstrap_B=999, h_grid=(1,),
+                              delta_grid=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0,
+                                          3.5)),
+                    DidConfig(replications=256, bootstrap_B=9, h_grid=(1,),
+                              delta_grid=tuple(0.25 * i for i in range(16)))):
+            tracemalloc.start()
+            try:
+                run_did_study(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20
 
     def test_grid_order_does_not_change_cell_rates(self):
         base = DidConfig(replications=200, h_grid=(1, 7),

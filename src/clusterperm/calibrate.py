@@ -12,10 +12,10 @@ both make a cheap first pass over all variance draws before re-scoring
 the worst few at higher precision.
 
 Both passes draw and count in float32 (`permkit.relabeling_counts` on a
-float32 weight matrix).  Counted in float64, the same first-pass draws
-give a different count on 2,252 of 3,000,000 draws (6+5, seed 3): near
-ties that round the other way.  That is below the calibration's Monte
-Carlo error, so the float32 arithmetic is kept.
+float32 0/1 treated-indicator matrix).  Counted in float64, the same
+first-pass draws give a different count on 2,943 of 3,000,000 draws
+(6+5, seed 3): near ties that round the other way.  That is below the
+calibration's Monte Carlo error, so the float32 arithmetic is kept.
 
 Each variance pattern is scored on its own random stream, so the
 patterns of a pass are scored on a pool of threads, one per CPU the

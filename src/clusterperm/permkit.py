@@ -15,8 +15,10 @@ over the full collection of one data vector without listing it;
 `IntegerSums` does the same for integer data by a dynamic program, and
 `enumeration_sums` picks between the two.
 `relabeling_counts` is the one counting kernel for many data rows at
-once: x @ W in cache-sized row blocks, or `enumeration_sums` per row
-when the full enumeration's weight matrix is above the cap.
+once: the treated sums x @ W of a 0/1 indicator matrix W in cache-sized
+row blocks, or `enumeration_sums` per row when the full enumeration's
+matrix is above the cap.  Every engine compares treated-entry sums,
+which order the relabelings as the statistic does.
 """
 
 from __future__ import annotations
@@ -358,9 +360,9 @@ class IntegerSums:
     the next, one vector add, for the sizes k <= q1 that can still grow
     to q1; so every count is a term of Vandermonde's sum for C(q, q1) and
     int64 holds it while C(q, q1) < 2^63 (Python ints past that).  The
-    caller ensures every subset sum is an integer below 2^53 (see
-    `enumeration_sums`), so the sums are exact in doubles and ties are
-    exact.
+    caller ensures every sum of at most q1 entries is an integer below
+    2^53 (see `enumeration_sums`), so the sums are exact in doubles and
+    ties are exact.
     """
 
     def __init__(self, design: Design, x: np.ndarray):
@@ -409,9 +411,9 @@ def _table_span(x: np.ndarray, q1: int) -> int:
 
 def enumeration_sums(design: Design, x) -> IntegerSums | SubsetSums:
     """The treated-entry sums of the full enumeration of x: `IntegerSums`
-    when x holds integers whose every subset sum is exact in doubles and
-    whose (q1 + 1) x span table fits under the cap, else `SubsetSums`
-    (which raises CapacityError past q = 46)."""
+    when x holds integers whose every sum of at most q1 entries is exact
+    in doubles and whose (q1 + 1) x span table fits under the cap, else
+    `SubsetSums` (which raises CapacityError past q = 46)."""
     x = np.asarray(x, dtype=float)
     if (_exact_integers(x, design)
             and (design.q1 + 1) * _table_span(x, design.q1)
@@ -445,11 +447,11 @@ def sample_assignments(design: Design, m: int,
 
 
 def weight_matrix(design: Design, assignments=None) -> np.ndarray:
-    """Column-per-assignment weight matrix W of shape (q, m).
+    """Column-per-assignment 0/1 treated-indicator matrix W of shape (q, m).
 
-    Column i holds +1/q1 on that assignment's treated indices and -1/q0
-    elsewhere, so a data matrix X of row vectors maps to all relabeled
-    statistics at once via X @ W.  With assignments=None the full
+    Column i holds 1.0 on that assignment's treated indices and 0.0
+    elsewhere, so a data matrix X of row vectors maps to every treated-
+    entry sum at once via X @ W.  With assignments=None the full
     lexicographic enumeration is used (identity in column 0).
     """
     if assignments is None:
@@ -461,8 +463,8 @@ def weight_matrix(design: Design, assignments=None) -> np.ndarray:
         idx = enumerate_assignments(design)
     else:
         idx = check_assignments(design, assignments)
-    w = np.full((design.q, len(idx)), -1.0 / design.q0)
-    w[idx.T, np.arange(len(idx))] = 1.0 / design.q1
+    w = np.zeros((design.q, len(idx)))
+    w[idx.T, np.arange(len(idx))] = 1.0
     return w
 
 
@@ -474,15 +476,13 @@ def _enumeration_weights(design: Design) -> np.ndarray:
     return w
 
 
-def _exact_integers(rows: np.ndarray, design: Design) -> bool:
-    """Whether rows are integers small enough that every partial sum of
-    x @ (q1*q0*W), and so every subset sum of a row, is an integer their
-    dtype represents exactly."""
-    if not float(rows.flat[0]).is_integer():  # the usual, quick answer
+def _exact_integers(x: np.ndarray, design: Design) -> bool:
+    """Whether x holds integers small enough that every sum of at most
+    q1 of them is an integer exact in doubles: q1 * max|x| < 2^53."""
+    if not float(x.flat[0]).is_integer():  # the usual, quick answer
         return False
-    top = design.q * max(design.q1, design.q0) * float(np.abs(rows).max())
-    return (top < 2.0 ** (np.finfo(rows.dtype).nmant + 1)
-            and bool(np.all(rows == np.rint(rows))))
+    return (design.q1 * float(np.abs(x).max()) < 2.0 ** 53
+            and bool(np.all(x == np.rint(x))))
 
 
 def count_dtype(m: int) -> type:
@@ -495,22 +495,22 @@ def relabeling_counts(x, design: Design, w: np.ndarray | None = None
                       ) -> np.ndarray:
     """For each row of x (shape (..., q)), the number of relabelings
     whose statistic is >= the identity's (`count_at_or_above`), as an
-    array of shape x.shape[:-1].
+    array of shape x.shape[:-1].  The statistic is increasing in the
+    treated-entry sum, so the sums are what is compared.
 
-    w is the (q, m) weight matrix of an explicit collection, identity in
-    column 0; None means the full enumeration of the design.  float32
-    rows stay float32 (w is cast to their dtype); other rows are
-    float64.  x @ W is formed in row blocks of about _PRODUCT_BYTES, and
-    of at least q rows, so that reading W costs no more than the block.
-    Integer rows are counted on x @ (q1*q0*W), which is exact, so tied
-    relabelings stay tied.  When the full enumeration's weight matrix is
-    above the cap, each row is counted on its treated-entry sums, which
-    order the assignments as the statistic does, by `enumeration_sums`
-    instead: the (size, sum) table on integer rows, split subset sums
-    otherwise.  Counts past 2^63 are then Python ints.  Several threads
-    may call it at once: each product block is its own, and is filled by
-    matmuls of at most _BLOCK_MACS multiply-adds, which stay on the
-    calling thread.
+    w is the (q, m) 0/1 treated-indicator matrix of an explicit
+    collection, identity in column 0; None means the full enumeration of
+    the design.  float32 rows stay float32 (w is cast to their dtype);
+    other rows are float64.  The treated sums x @ W are formed in row
+    blocks of about _PRODUCT_BYTES, and of at least q rows, so that
+    reading W costs no more than the block.  Integer rows are summed
+    exactly, so tied relabelings stay tied, while q1 * max|x| <
+    2^(nmant + 1) of their dtype.  When the full enumeration's matrix is
+    above the cap, each row is counted by `enumeration_sums` instead:
+    the (size, sum) table on integer rows, split subset sums otherwise.
+    Counts past 2^63 are then Python ints.  Several threads may call it
+    at once: each product block is its own, and is filled by matmuls of
+    at most _BLOCK_MACS multiply-adds, which stay on the calling thread.
     """
     x = np.asarray(x)
     if x.dtype != np.float32:
@@ -528,10 +528,6 @@ def relabeling_counts(x, design: Design, w: np.ndarray | None = None
         return out.reshape(x.shape[:-1])
     w = (_enumeration_weights(design) if w is None else w).astype(
         x.dtype, copy=False)
-    if len(rows) and _exact_integers(rows, design):
-        # 1/q1 and 1/q0 round, so x @ W can split exact ties; on
-        # integers q1*q0*W gives every statistic times q1*q0 exactly
-        w = np.rint(w * (design.q1 * design.q0))
     m = w.shape[1]
     dtype = count_dtype(m)
     step = max(design.q, _PRODUCT_BYTES // (m * x.itemsize))

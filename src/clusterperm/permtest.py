@@ -35,7 +35,7 @@ from .permkit import (
 )
 
 _SIDES = ("right", "left", "two-sided")
-_VALUE_ROWS = 1 << 12  # assignments per block of relabeled statistics
+_VALUE_ROWS = 1 << 12  # assignments per block of treated sums
 
 
 def _check_sums_finite(x: np.ndarray, what: str) -> None:
@@ -147,36 +147,38 @@ class _Relabelings(NamedTuple):
 def _relabelings(x: np.ndarray, design: Design, assignments) -> _Relabelings:
     """The statistic over the collection (the full enumeration when None).
 
-    T(gx) depends on g only through the treated-entry sum, so each value
-    is coef * sum(treated) - sum(all)/q0 with coef = 1/q1 + 1/q0.  The
-    full enumeration is counted on those sums by `enumeration_sums`, a
-    (size, sum) table on integer data and split subset sums otherwise;
-    its nth applies the same arithmetic as an explicit collection to the
-    sum it selects.
+    T(gx) depends on g only through the treated-entry sum S: T = coef * S
+    - sum(x)/q0 with coef = 1/q1 + 1/q0 > 0.  So both engines count and
+    select on the sums, and the statistic is formed from the identity's
+    sum and from a selected sum only for reporting; that map is monotone,
+    so nth is the i-th smallest statistic in the same arithmetic.  The
+    full enumeration is counted by `enumeration_sums`, a (size, sum)
+    table on integer data and split subset sums otherwise; an explicit
+    collection by its treated sums.
     """
     coef = 1.0 / design.q1 + 1.0 / design.q0
     base = float(x.sum()) / design.q0
-
-    def value(rows: np.ndarray):
-        return coef * x[rows].sum(axis=-1) - base
-
-    t_obs = float(value(np.arange(design.q1)))
     idx, source = _collection(design, assignments)
     if idx is None:
         sums = enumeration_sums(design, x)
-        return _Relabelings(
-            design.n_assignments, t_obs, sums.count_at_least(sums.identity),
-            sums.count_at_most(sums.identity),
-            lambda i: coef * sums.sum_at(i) - base, source)
-    # row blocks bound the (rows, q1) gather; each row's sum is unchanged
-    vals = np.empty(len(idx))
-    for lo in range(0, len(idx), _VALUE_ROWS):
-        vals[lo:lo + _VALUE_ROWS] = value(idx[lo:lo + _VALUE_ROWS])
-    # the left side is the right side's rule on negated values
+        n, count_ge, count_le, sum_at = (
+            design.n_assignments, sums.count_at_least(sums.identity),
+            sums.count_at_most(sums.identity), sums.sum_at)
+    else:
+        # row blocks bound the (rows, q1) gather; each row's sum is unchanged
+        s = np.empty(len(idx))
+        for lo in range(0, len(idx), _VALUE_ROWS):
+            s[lo:lo + _VALUE_ROWS] = x[idx[lo:lo + _VALUE_ROWS]].sum(axis=-1)
+        # the left side is the right side's rule on negated sums
+        n, count_ge, count_le = (len(idx), int(count_at_or_above(s)),
+                                 int(count_at_or_above(-s)))
+
+        def sum_at(i: int) -> float:
+            return float(np.partition(s, i - 1)[i - 1])
+
     return _Relabelings(
-        len(idx), t_obs, int(count_at_or_above(vals)),
-        int(count_at_or_above(-vals)),
-        lambda i: float(np.partition(vals, i - 1)[i - 1]), source)
+        n, coef * float(x[:design.q1].sum()) - base, count_ge, count_le,
+        lambda i: coef * sum_at(i) - base, source)
 
 
 # ---------------------------------------------------------------------------

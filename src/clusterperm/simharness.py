@@ -28,8 +28,9 @@ few enough that the largest per-replication intermediate stays within
 _DID_BYTES (see _did_step), so a worker's peak memory stays bounded
 whatever bootstrap_B and the grids are.  Every replication draws from
 its own stream, so the block size does not change a result.  The permutation
-arm counts relabelings with permkit.relabeling_counts, through the
-weight matrix or, above its cap, by enumeration_sums; the rivals come
+arm counts relabelings with permkit.relabeling_counts on their treated
+sums, through the 0/1 treated-indicator matrix or, above its cap, by
+enumeration_sums; the rivals come
 from the batched kernels in rivals (group_t, pooled_t,
 bootstrap_p_values).
 This module holds the draws, the per-cluster fits of the DiD panel, the

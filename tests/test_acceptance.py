@@ -24,7 +24,7 @@ from clusterperm.estimators import (
     per_cluster_ols,
 )
 from clusterperm import permtest
-from clusterperm.permkit import Design, RngStream, sample_assignments, weight_matrix
+from clusterperm.permkit import Design, RngStream, sample_assignments
 from clusterperm.permtest import (
     ClusterEstimates,
     adjusted_test,
@@ -38,6 +38,7 @@ from clusterperm.simharness import (
     run_did_study,
     run_normal_location_study,
 )
+from oracle import statistic_weights
 
 # =========================================================================
 # reference values
@@ -88,7 +89,7 @@ DID_TOLERANCE = 0.015
 
 def _stats_matrix(x: np.ndarray, design: Design) -> np.ndarray:
     """Relabeled comparison-of-means statistics, identity in column 0."""
-    return x @ weight_matrix(design)
+    return x @ statistic_weights(design)
 
 
 # =========================================================================
@@ -170,7 +171,7 @@ def test_criterion_04_null_rejection_capped_under_adversarial_variances():
     count_max = n - entry.order_index
     reps = 100_000
     ceiling = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / reps)
-    w = weight_matrix(design)
+    w = statistic_weights(design)
 
     # twenty distinct variance patterns over {1e-4, 1}^10: the known hard
     # corners plus seeded random fill
@@ -319,7 +320,7 @@ def test_criterion_08_duality_and_max_event_characterization():
                  np.array([2, 1, 1, 1, 0, 0, 0, 0], dtype=float),
                  np.zeros(8)]
     for row in tie_rows:
-        stats = row @ weight_matrix(tie_design)
+        stats = row @ statistic_weights(tie_design)
         expected = stats[0] > stats[1:].max()
         assert _max_event(
             ClusterEstimates(tie_design, row)) == bool(expected)
@@ -343,7 +344,7 @@ def test_criterion_09_sampled_assignments_match_full_enumeration():
 
     assignments = sample_assignments(design, m,
                                      rng=RngStream(909, stream_id=1))
-    w_m = weight_matrix(design, assignments=assignments)
+    w_m = statistic_weights(design, assignments=assignments)
     count_max_m = m - entry.order_index_for(m)
     rejections = 0
     block = 500

@@ -29,6 +29,7 @@ from clusterperm.permkit import (
     weight_matrix,
 )
 from clusterperm.permtest import AlphaEntry, ClusterEstimates, adjusted_test
+from oracle import statistic_weights
 
 
 def _all_assignments(design: Design) -> np.ndarray:
@@ -66,9 +67,9 @@ class TestDesign:
 class TestAssignment:
     def test_control_complement(self):
         # the control set of a relabeling is the complement of its
-        # treated set: exactly the -1/q0 entries of its column
+        # treated set: exactly the zero entries of its column
         w = weight_matrix(Design(2, 3), [[0, 1], [0, 2]])
-        assert np.flatnonzero(w[:, 1] < 0).tolist() == [1, 3, 4]
+        assert np.flatnonzero(w[:, 1] == 0).tolist() == [1, 3, 4]
 
     def test_must_increase(self):
         d = Design(2, 2)
@@ -264,17 +265,17 @@ class TestRngStream:
 
 class TestAssignmentVariance:
     def test_balanced_unit(self):
-        w = weight_matrix(Design(2, 2))
+        w = statistic_weights(Design(2, 2))
         assert _relabeled_variance(w, [1, 1, 1, 1])[0] == pytest.approx(1.0)
 
     def test_one_one(self):
-        w = weight_matrix(Design(1, 1))
+        w = statistic_weights(Design(1, 1))
         assert _relabeled_variance(w, [2, 3])[0] == pytest.approx(13.0)
 
     def test_balanced_invariant_to_assignment(self):
         d = Design(3, 3)
         sig = [0.3, 1.7, 2.2, 0.9, 5.0, 1.1]
-        var = _relabeled_variance(weight_matrix(d), sig)
+        var = _relabeled_variance(statistic_weights(d), sig)
         assert np.allclose(var, var[0])
 
     def test_shape_errors(self):
@@ -292,7 +293,7 @@ class TestAssignmentVariance:
         d = Design(q1, q0)
         gen = np.random.default_rng(seed)
         sig = gen.uniform(0.05, 20.0, size=d.q)
-        var = _relabeled_variance(weight_matrix(d), sig)
+        var = _relabeled_variance(statistic_weights(d), sig)
         ratio = var[gen.integers(var.size)] / var[0]
         lo = min(q1 / q0, q0 / q1) ** 2
         hi = max(q1 / q0, q0 / q1) ** 2
@@ -312,20 +313,27 @@ class TestWeightMatrix:
 
     def test_columns_encode_statistic(self):
         d = Design(2, 3)
-        x = np.array([5.0, -1.0, 2.0, 0.5, 3.0])
         w = weight_matrix(d)
-        vals = x @ w
+        assert set(np.unique(w).tolist()) == {0.0, 1.0}
+        assert np.all(w.sum(axis=0) == d.q1)
+        for i, combo in enumerate(itertools.combinations(range(5), 2)):
+            assert np.flatnonzero(w[:, i]).tolist() == list(combo)
+        # so x @ W is every treated sum, and the statistic oracle every
+        # comparison of means
+        x = np.array([5.0, -1.0, 2.0, 0.5, 3.0])
+        sums, vals = x @ w, x @ statistic_weights(d)
         for i, combo in enumerate(itertools.combinations(range(5), 2)):
             mask = np.zeros(5, dtype=bool)
             mask[list(combo)] = True
+            assert sums[i] == x[mask].sum()
             direct = x[mask].mean() - x[~mask].mean()
             assert vals[i] == pytest.approx(direct, abs=1e-12)
 
     def test_identity_column_zero(self):
-        d = Design(4, 4)
+        d = Design(4, 3)
         w = weight_matrix(d)
-        assert np.all(w[:4, 0] == 0.25)
-        assert np.all(w[4:, 0] == -0.25)
+        assert np.all(w[:4, 0] == 1.0)
+        assert np.all(w[4:, 0] == 0.0)
 
     def test_cap(self):
         # C(22, 11) * 22 = 15.5M entries, above the 10M cap
@@ -355,14 +363,19 @@ class TestRelabelingCounts:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_tie_heavy_integers_match_brute_force(self, dtype):
         gen = RngStream(32).generator()
-        for q in range(2, 11):
-            for q1 in range(1, q):
-                d = Design(q1, q - q1)
-                x = gen.integers(-2, 3, size=(40, q))
-                sums = x[:, _all_assignments(d)].sum(axis=-1)
-                expected = (sums >= sums[:, :1]).sum(axis=-1)
-                got = relabeling_counts(x.astype(dtype), d)
-                np.testing.assert_array_equal(got, expected, err_msg=str(d))
+        cases = [(Design(q1, q - q1), gen.integers(-2, 3, size=(40, q)))
+                 for q in range(2, 11) for q1 in range(1, q)]
+        # float32 rows whose treated sums stay just below 2^24, so every
+        # sum is exact though q * max(q1, q0) * max|x| is past 2^24
+        for q1, q0 in ((3, 3), (4, 3), (5, 5), (6, 5)):
+            top = 2**24 // (q1 + 1)
+            cases.append((Design(q1, q0),
+                          top - gen.integers(0, 3, size=(400, q1 + q0))))
+        for d, x in cases:
+            sums = x[:, _all_assignments(d)].sum(axis=-1)
+            expected = (sums >= sums[:, :1]).sum(axis=-1)
+            got = relabeling_counts(x.astype(dtype), d)
+            np.testing.assert_array_equal(got, expected, err_msg=str(d))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_counts_do_not_depend_on_block_size(self, monkeypatch, dtype):

@@ -34,9 +34,9 @@ from clusterperm.permkit import (
     IntegerSums,
     RngStream,
     SubsetSums,
+    enumerate_assignments,
     enumeration_sums,
     sample_assignments,
-    weight_matrix,
 )
 from clusterperm.permtest import (
     AlphaEntry,
@@ -46,6 +46,7 @@ from clusterperm.permtest import (
     order_index_from_level,
     size_bound,
 )
+from oracle import statistic_weights
 
 
 def _brute_force_values(x: np.ndarray, q1: int) -> list[float]:
@@ -84,8 +85,8 @@ def _all_assignments(design: Design) -> np.ndarray:
 
 
 def _sorted_values(x: ClusterEstimates, assignments=None) -> np.ndarray:
-    """The sorted permutation distribution, via the weight matrix."""
-    return np.sort(x.values @ weight_matrix(x.design, assignments))
+    """The sorted permutation distribution, via the statistic oracle."""
+    return np.sort(x.values @ statistic_weights(x.design, assignments))
 
 
 def _critical_value(sorted_values: np.ndarray, p: float) -> float:
@@ -599,6 +600,21 @@ class TestExplicitFullEnumeration:
                 assert via == dataclasses.replace(
                     full, assignment_source=f"sampled(m={n})")
 
+    def test_distinct_sums_stay_distinct(self):
+        # with q1 = 1 each treated sum is one entry, exact; these sit a
+        # few ulps apart, so a statistic formed before comparing could
+        # merge them.  Four of the five are <= the identity's entry
+        d = Design(1, 4)
+        x = [1.6000000000000005, 1.599999999999999, 1.5999999999999996,
+             1.6000000000000005, 1.6000000000000008]
+        entry = AlphaEntry(q1=1, q0=4, alpha=0.5, bar_alpha=0.5,
+                           source="calibrated")
+        for assignments in (None, enumerate_assignments(d)):
+            out = adjusted_test(ClusterEstimates(d, x), alpha=0.5,
+                                side="left", assignments=assignments,
+                                alpha_entry=entry)
+            assert out.p_value_left == 0.8
+
 
 class TestSplitSumCount:
     """The full enumeration is counted by split subset sums; these
@@ -789,7 +805,7 @@ class TestMaxCharacterization:
     def test_agrees_with_enumeration_predicate(self):
         gen = np.random.default_rng(31)
         d = Design(3, 4)
-        w = weight_matrix(d)
+        w = statistic_weights(d)
         x = gen.normal(size=(2000, 7))
         vals = x @ w
         t_obs = vals[:, 0]
@@ -811,7 +827,7 @@ class TestDistributionalProperties:
         # continuous data should essentially never produce tied values
         gen = np.random.default_rng(41)
         d = Design(3, 3)
-        w = weight_matrix(d)
+        w = statistic_weights(d)
         x = gen.normal(size=(10_000, 6))
         vals = np.sort(x @ w, axis=1)
         gaps = np.diff(vals, axis=1)
@@ -824,7 +840,7 @@ class TestDistributionalProperties:
         gen = np.random.default_rng(42)
         d = Design(3, 3)
         n = d.n_assignments  # 20
-        w = weight_matrix(d)
+        w = statistic_weights(d)
         S = 100_000
         x = gen.normal(size=(S, 6))
         vals = x @ w
@@ -841,7 +857,7 @@ class TestDistributionalProperties:
         n = d.n_assignments  # 252
         entry = lookup_bar_alpha(5, 5, 0.05)
         k = n - entry.order_index
-        w = weight_matrix(d)
+        w = statistic_weights(d)
         S = 100_000
         patterns = [
             (0.01, 0.01, 0.01, 0.01, 100.0, 0.01, 0.01, 0.01, 0.01, 0.01),
@@ -866,7 +882,7 @@ class TestDistributionalProperties:
         q0 = int(gen.integers(2, 5))
         x = gen.normal(size=q1 + q0)
         est = ClusterEstimates(Design(q1, q0), x)
-        vals = x @ weight_matrix(est.design)
+        vals = x @ statistic_weights(est.design)
         dist = np.sort(vals)
         # the identity's value in the distribution's own arithmetic, so
         # the comparison against its own order statistic is exact

@@ -50,6 +50,11 @@ from .permkit import (
 )
 from .permtest import AlphaEntry, check_alpha, order_index_from_level, size_bound
 
+# Designs with fewer assignments than this are calibrated over their full
+# assignment collection (calibrate_exhaustive), larger ones over a sample
+# of m assignments (calibrate_sampled).
+ENUMERATION_THRESHOLD = 1500
+
 
 @dataclass(frozen=True)
 class CalibrationParams:
@@ -60,9 +65,8 @@ class CalibrationParams:
     first pass of S1 simulations per pattern; the worst top_fraction of
     patterns are then re-scored with S2 simulations, and only those
     refined rates are compared against alpha (+ tolerance_eta).  epsilon
-    is the level-grid step of the sampled procedure, m the assignment
-    sample size, and enumeration_threshold the assignment-count cutoff
-    between the exhaustive and sampled procedures.
+    is the level-grid step of the sampled procedure and m the assignment
+    sample size.
     """
 
     R: int = 3000
@@ -75,10 +79,9 @@ class CalibrationParams:
     epsilon: float = 0.005
     m: int = 1500
     seed: int = 0
-    enumeration_threshold: int = 1500
 
     def __post_init__(self):
-        for name in ("R", "S1", "S2", "m", "enumeration_threshold"):
+        for name in ("R", "S1", "S2", "m"):
             object.__setattr__(self, name,
                                positive_int(name, getattr(self, name)))
         if not (0 < self.top_fraction <= 1):
@@ -264,11 +267,11 @@ def calibrate_exhaustive(design: Design, alpha: float,
     params = params or CalibrationParams()
     check_alpha(alpha)
     n = design.n_assignments
-    if n >= params.enumeration_threshold:
+    if n >= ENUMERATION_THRESHOLD:
         raise CapacityError(
             f"exhaustive calibration requires fewer than "
-            f"{params.enumeration_threshold} assignments, got {n}; "
-            "use calibrate_sampled (--calibrate sampled)")
+            f"{ENUMERATION_THRESHOLD} assignments, got {n}; "
+            "use calibrate_sampled")
     root = RngStream(params.seed)
     V = _draw_variances(params, root, design.q, variance_draws)
     engine = _TwoPassEngine(design, weight_matrix(design), V, params,
@@ -317,11 +320,10 @@ def calibrate_sampled(design: Design, alpha: float,
     params = params or CalibrationParams()
     check_alpha(alpha)
     n = design.n_assignments
-    if n < params.enumeration_threshold:
+    if n < ENUMERATION_THRESHOLD:
         raise ContractError(
             f"design has only {n} assignments, below the sampling threshold "
-            f"{params.enumeration_threshold}; use calibrate_exhaustive "
-            "(--calibrate exhaustive)")
+            f"{ENUMERATION_THRESHOLD}; use calibrate_exhaustive")
     root = RngStream(params.seed)
     m = params.m
     draws = sample_assignments(design, m, rng=root.derived(3))

@@ -27,19 +27,19 @@ import secrets
 import sys
 from dataclasses import fields, replace
 
-from .calibrate import CalibrationParams, calibrate_exhaustive, calibrate_sampled
+from .calibrate import (
+    ENUMERATION_THRESHOLD,
+    CalibrationParams,
+    calibrate_exhaustive,
+    calibrate_sampled,
+)
 from .errors import (
     ClusterPermError,
     DomainError,
     InputFormatError,
     ValidationError,
 )
-from .estimators import (
-    EstimatorSpec,
-    binary_choice_cluster_estimates,
-    ingest_csv,
-    per_cluster_ols,
-)
+from .estimators import MODES, cluster_estimates, ingest_csv, load_estimates
 from .permkit import Design, RngStream, sample_assignments
 from .permtest import (
     adjusted_test,
@@ -57,13 +57,6 @@ from .simharness import (
 )
 
 DEFAULT_SAMPLE_M = 100_000
-
-_ESTIMATOR_MODES = {
-    "intercept": EstimatorSpec("intercept"),
-    "did-slope": EstimatorSpec("did-slope"),
-    "logistic": EstimatorSpec("binary-choice", link="logistic"),
-    "probit": EstimatorSpec("binary-choice", link="probit"),
-}
 
 
 class _UsageError(Exception):
@@ -104,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--q1", type=int, required=True)
     p.add_argument("--q0", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--calibrate", choices=("exhaustive", "sampled"),
+    p.add_argument("--calibrate", action="store_true",
                    help="recompute by Monte Carlo instead of the "
                         "embedded table")
     p.add_argument("--param", action="append", default=[],
@@ -117,7 +110,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="adjusted permutation test on a CSV file")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", default="estimates",
-                   choices=("estimates",) + tuple(_ESTIMATOR_MODES))
+                   choices=("estimates",) + MODES)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--side", default="right",
                    choices=("right", "left", "two-sided"))
@@ -128,7 +121,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="draw M random assignments (plus the identity) "
                         "instead of enumerating all of them "
                         f"(M defaults to {DEFAULT_SAMPLE_M})")
-    p.add_argument("--calibrate", choices=("exhaustive", "sampled"),
+    p.add_argument("--calibrate", action="store_true",
                    help="calibrate bar_alpha by Monte Carlo instead of "
                         "looking it up in the embedded table (a "
                         "two-sided test calibrates at alpha/2)")
@@ -226,8 +219,10 @@ def _cmd_bound(ns):
 
 
 def _alpha_entry(ns, design, alpha, seed):
-    """The adjusted level for the command: calibrated with `seed` under
-    --calibrate, else the tabulated entry."""
+    """The adjusted level for the command: under --calibrate, calibrated
+    with `seed`, exhaustively when the design has fewer than
+    ENUMERATION_THRESHOLD assignments and on a sample otherwise; else
+    the tabulated entry."""
     if not ns.calibrate:
         if ns.param:
             raise DomainError("--param requires --calibrate")
@@ -235,7 +230,8 @@ def _alpha_entry(ns, design, alpha, seed):
     mapping = dict(item.partition("=")[::2] for item in ns.param)
     params = replace(config_from_strings(CalibrationParams, mapping),
                      seed=seed)
-    fn = (calibrate_exhaustive if ns.calibrate == "exhaustive"
+    fn = (calibrate_exhaustive
+          if design.n_assignments < ENUMERATION_THRESHOLD
           else calibrate_sampled)
     return fn(design, alpha, params=params)
 
@@ -254,18 +250,9 @@ def _cmd_alpha(ns):
     return payload, text
 
 
-def _load_cluster_estimates(ns):
-    if ns.mode == "estimates":
-        return ingest_csv(ns.input, schema="estimates")
-    data = ingest_csv(ns.input, schema="observations")
-    spec = _ESTIMATOR_MODES[ns.mode]
-    if spec.mode == "binary-choice":
-        return binary_choice_cluster_estimates(data, spec)
-    return per_cluster_ols(data, spec)
-
-
 def _cmd_test(ns):
-    estimates = _load_cluster_estimates(ns)
+    estimates = (load_estimates(ns.input) if ns.mode == "estimates"
+                 else cluster_estimates(ingest_csv(ns.input), ns.mode))
     design = estimates.design
     if ns.sample_m is not None and ns.sample_m < 1:
         raise DomainError(f"--sample-m must be positive, got {ns.sample_m}")

@@ -21,7 +21,6 @@ import math
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -38,8 +37,8 @@ from .errors import (
 from .permkit import Design
 from .permtest import ClusterEstimates
 
-_MODES = ("intercept", "did-slope", "binary-choice")
 _LINKS = ("logistic", "probit")
+MODES = ("intercept", "did-slope") + _LINKS
 _RANK_TOL = 1e-10
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
@@ -148,32 +147,6 @@ class ClusterDataset:
         return self._y[lo:hi], self._x[lo:hi], post
 
 
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """What to fit per cluster and which coefficient is the estimate.
-
-    mode 'intercept' regresses outcome on [1, covariates]; 'did-slope'
-    regresses on [post, covariates, 1]; 'binary-choice' solves the score
-    equations of a binary regression of outcome on [1, covariates] with
-    the chosen link.  In every layout the estimate is coordinate 0 of
-    the coefficient vector.
-    """
-
-    mode: str
-    link: str | None = None
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.mode == "binary-choice":
-            if self.link not in _LINKS:
-                raise DomainError(
-                    f"binary-choice requires link in {_LINKS}, got {self.link!r}")
-        elif self.link is not None:
-            raise DomainError(f"link is only meaningful for binary-choice, "
-                              f"got {self.link!r} with mode {self.mode!r}")
-
-
 def _rank_deficient(x: np.ndarray, r: np.ndarray, piv: np.ndarray) -> bool:
     """Whether x, factored as x[:, piv] = QR with column pivoting, is
     rank deficient: some |R_jj| is at most _RANK_TOL times the norm of
@@ -200,26 +173,6 @@ def _ols_coefficients(xd: np.ndarray, y: np.ndarray, cid: str) -> np.ndarray:
     coef = np.empty(d)
     coef[piv] = coef_p
     return coef
-
-
-def per_cluster_ols(data: ClusterDataset, spec: EstimatorSpec) -> ClusterEstimates:
-    """Least squares within each cluster; the estimate vector stacks
-    coordinate 0 of every fit, treated clusters first."""
-    if spec.mode == "binary-choice":
-        raise ContractError(
-            "binary-choice mode belongs to binary_choice_cluster_estimates")
-    if spec.mode == "did-slope" and not data.has_post:
-        raise ContractError("did-slope mode requires the post column")
-    values = np.empty(data.design.q)
-    for k in range(data.design.q):
-        y, x, post = data.cluster_rows(k)
-        ones = np.ones((y.size, 1))
-        if spec.mode == "intercept":
-            xd = np.hstack([ones, x])
-        else:
-            xd = np.hstack([post[:, None], x, ones])
-        values[k] = _ols_coefficients(xd, y, data.cluster_ids[k])[0]
-    return ClusterEstimates(data.design, values, cluster_ids=data.cluster_ids)
 
 
 def _link_functions(link: str):
@@ -252,50 +205,72 @@ def _link_functions(link: str):
     return cdf, pdf, inverse
 
 
-def binary_choice_cluster_estimates(data: ClusterDataset,
-                                    spec: EstimatorSpec) -> ClusterEstimates:
-    """Newton solution of the per-cluster score equations
-    sum_i (1, x_i')' (y_i - F(theta + beta' x_i)) = 0; the estimate is
-    theta.  Convergence means the score's max-norm falls below 1e-10."""
-    if spec.mode != "binary-choice":
-        raise ContractError(f"mode {spec.mode!r} belongs to per_cluster_ols")
-    cdf, pdf, inverse = _link_functions(spec.link)
+def _newton_estimate(y: np.ndarray, x: np.ndarray, cid: str,
+                     cdf, pdf, inverse) -> float:
+    """theta of the Newton solution of the cluster's score equations
+    sum_i (1, x_i')' (y_i - F(theta + beta' x_i)) = 0.  Convergence
+    means the score's max-norm falls below 1e-10."""
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise DomainError(
+            f"binary-choice outcomes must be 0 or 1; cluster {cid!r} "
+            "has other values")
+    rate = float(y.mean())
+    if rate in (0.0, 1.0):
+        raise DegenerateDataError(
+            f"cluster {cid!r} is perfectly separated "
+            f"(all outcomes {int(rate)})")
+    z = np.hstack([np.ones((y.size, 1)), x])
+    if y.size < z.shape[1]:
+        raise DegenerateDataError(
+            f"cluster {cid!r} has {y.size} rows for {z.shape[1]} parameters")
+    beta = np.zeros(z.shape[1])
+    beta[0] = inverse(min(max(rate, 0.5 / y.size), 1.0 - 0.5 / y.size))
+    for _ in range(_NEWTON_MAX_ITER):
+        eta = z @ beta
+        score = z.T @ (y - cdf(eta))
+        if np.abs(score).max() < _NEWTON_TOL:
+            break
+        info = (z * pdf(eta)[:, None]).T @ z
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            raise RankDeficientError(
+                f"singular information matrix in cluster {cid!r}") from None
+        beta = beta + step
+    else:
+        raise EstimationError(
+            f"cluster {cid!r} did not converge in "
+            f"{_NEWTON_MAX_ITER} Newton iterations")
+    return beta[0]
+
+
+def cluster_estimates(data: ClusterDataset, mode: str) -> ClusterEstimates:
+    """One estimate per cluster, treated clusters first, each from a fit
+    to that cluster's rows alone.
+
+    mode 'intercept' regresses outcome on [1, covariates] and
+    'did-slope' on [post, covariates, 1], by least squares; 'logistic'
+    and 'probit' fit a binary regression of outcome on [1, covariates]
+    with that link by Newton iteration.  In every layout the estimate is
+    coordinate 0 of the coefficient vector.
+    """
+    if mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "did-slope" and not data.has_post:
+        raise ContractError("did-slope mode requires the post column")
+    link = _link_functions(mode) if mode in _LINKS else None
     values = np.empty(data.design.q)
-    for k in range(data.design.q):
-        cid = data.cluster_ids[k]
-        y, x, _ = data.cluster_rows(k)
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise DomainError(
-                f"binary-choice outcomes must be 0 or 1; cluster {cid!r} "
-                "has other values")
-        rate = float(y.mean())
-        if rate in (0.0, 1.0):
-            raise EstimationError(
-                f"cluster {cid!r} is perfectly separated "
-                f"(all outcomes {int(rate)})")
-        z = np.hstack([np.ones((y.size, 1)), x])
-        if y.size < z.shape[1]:
-            raise DegenerateDataError(
-                f"cluster {cid!r} has {y.size} rows for {z.shape[1]} parameters")
-        beta = np.zeros(z.shape[1])
-        beta[0] = inverse(min(max(rate, 0.5 / y.size), 1.0 - 0.5 / y.size))
-        for _ in range(_NEWTON_MAX_ITER):
-            eta = z @ beta
-            score = z.T @ (y - cdf(eta))
-            if np.abs(score).max() < _NEWTON_TOL:
-                break
-            info = (z * pdf(eta)[:, None]).T @ z
-            try:
-                step = np.linalg.solve(info, score)
-            except np.linalg.LinAlgError:
-                raise RankDeficientError(
-                    f"singular information matrix in cluster {cid!r}") from None
-            beta = beta + step
+    for k, cid in enumerate(data.cluster_ids):
+        y, x, post = data.cluster_rows(k)
+        if link is not None:
+            values[k] = _newton_estimate(y, x, cid, *link)
+            continue
+        ones = np.ones((y.size, 1))
+        if mode == "intercept":
+            xd = np.hstack([ones, x])
         else:
-            raise EstimationError(
-                f"cluster {cid!r} did not converge in "
-                f"{_NEWTON_MAX_ITER} Newton iterations")
-        values[k] = beta[0]
+            xd = np.hstack([post[:, None], x, ones])
+        values[k] = _ols_coefficients(xd, y, cid)[0]
     return ClusterEstimates(data.design, values, cluster_ids=data.cluster_ids)
 
 
@@ -471,19 +446,13 @@ def _csv_columns(path):
             3 in binary)
 
 
-def ingest_csv(path, schema: str = "observations"):
-    """Read a CSV file into a ClusterDataset (schema 'observations':
-    header cluster_id,treated,outcome[,post][,covariates...]) or a
-    ClusterEstimates (schema 'estimates': header
-    cluster_id,treated,estimate, one row per cluster).  Observation files
-    are read by numpy's tokenizer when it provably gives what the csv
-    module would (`_tokenized_columns`), and by the csv module otherwise,
-    which is then the source of every format error."""
-    if schema == "estimates":
-        return load_estimates(path)
-    if schema != "observations":
-        raise DomainError(
-            f"schema must be 'observations' or 'estimates', got {schema!r}")
+def ingest_csv(path) -> ClusterDataset:
+    """Read an observation file (header
+    cluster_id,treated,outcome[,post][,covariates...]) into a
+    ClusterDataset.  The file is read by numpy's tokenizer when it
+    provably gives what the csv module would (`_tokenized_columns`), and
+    by the csv module otherwise, which is then the source of every
+    format error."""
     ids, values, has_post = (_tokenized_columns(path)
                              or _csv_columns(path))
     covs = values[2 + has_post:]

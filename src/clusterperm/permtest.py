@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    ContractError,
     DegeneracyWarning,
     DomainError,
     InfeasibleLevelError,
@@ -421,7 +422,8 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
     (identity in row 0); None enumerates the full collection.
     bar_alpha comes from the embedded table unless alpha_entry overrides
     it (e.g. with a calibrated entry; for two-sided tests supply an entry
-    calibrated at alpha/2).
+    calibrated at alpha/2).  The entry must be for the estimates' design;
+    its level is the caller's responsibility.
     """
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
@@ -432,6 +434,10 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
     design = theta_hat.design
     entry = alpha_entry if alpha_entry is not None else lookup_bar_alpha(
         design.q1, design.q0, adjustment_level(alpha, side))
+    if (entry.q1, entry.q0) != (design.q1, design.q0):
+        raise ContractError(
+            f"alpha_entry is for q1={entry.q1}, q0={entry.q0}; the "
+            f"estimates have q1={design.q1}, q0={design.q0}")
 
     x = theta_hat.values.copy()
     x[:design.q1] -= lam

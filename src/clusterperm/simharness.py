@@ -401,7 +401,9 @@ def _run_blocks(block_fn, cfg, workers, block: int):
         raise DomainError("workers must be a positive integer")
     reps = cfg.replications
     ranges = [(lo, min(lo + block, reps)) for lo in range(0, reps, block)]
-    if workers == 1 or len(ranges) == 1:
+    # a forked pool starts all its workers at once: no more than blocks
+    workers = min(workers, len(ranges))
+    if workers == 1:
         results = [block_fn(cfg, lo, hi) for lo, hi in ranges]
     else:
         from concurrent.futures import ProcessPoolExecutor

@@ -17,12 +17,7 @@ import pytest
 from scipy.stats import norm
 
 from clusterperm.calibrate import CalibrationParams, calibrate_exhaustive
-from clusterperm.estimators import (
-    ClusterDataset,
-    EstimatorSpec,
-    binary_choice_cluster_estimates,
-    per_cluster_ols,
-)
+from clusterperm.estimators import ClusterDataset, cluster_estimates
 from clusterperm import permtest
 from clusterperm.permkit import Design, RngStream, sample_assignments
 from clusterperm.permtest import (
@@ -374,7 +369,7 @@ def test_criterion_10_estimator_hand_oracles():
     for shift, expected in ((0.0, 1.0 / 6.0), (1.0, 2.0 / 3.0)):
         ds = ClusterDataset(["t"] * 3 + ["c"] * 3, [1] * 3 + [0] * 3, ys,
                             covariates=np.tile(xs - shift, 2)[:, None])
-        est = per_cluster_ols(ds, EstimatorSpec("intercept"))
+        est = cluster_estimates(ds, "intercept")
         assert abs(est.values[0] - expected) <= 1e-10
         assert abs(est.values[1] - 4.0) <= 1e-10
 
@@ -382,11 +377,9 @@ def test_criterion_10_estimator_hand_oracles():
     # inverse of the cluster success rate
     y = [1] * 7 + [0] * 3 + [1] * 5 + [0] * 5
     ds = ClusterDataset(["a"] * 10 + ["b"] * 10, [1] * 10 + [0] * 10, y)
-    logit = binary_choice_cluster_estimates(
-        ds, EstimatorSpec("binary-choice", link="logistic"))
+    logit = cluster_estimates(ds, "logistic")
     assert abs(logit.values[0] - math.log(7.0 / 3.0)) <= 1e-8
     assert abs(logit.values[1] - 0.0) <= 1e-8
-    probit = binary_choice_cluster_estimates(
-        ds, EstimatorSpec("binary-choice", link="probit"))
+    probit = cluster_estimates(ds, "probit")
     assert abs(probit.values[0] - norm.ppf(0.7)) <= 1e-8
     assert abs(probit.values[1] - 0.0) <= 1e-8

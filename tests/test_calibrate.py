@@ -55,13 +55,13 @@ class TestCalibrationParams:
         assert p.tolerance_eta == 0.0
         assert p.epsilon == 0.005
         assert p.m == 1500
-        assert p.enumeration_threshold == 1500
+        assert calibrate.ENUMERATION_THRESHOLD == 1500
 
     @pytest.mark.parametrize("kwargs", [
         {"R": 0}, {"S1": -1}, {"S2": 2.5}, {"top_fraction": 0.0},
         {"top_fraction": 1.5}, {"beta_a": 0.0}, {"beta_b": -0.1},
         {"tolerance_eta": -1e-9}, {"epsilon": 0.0}, {"m": 0},
-        {"seed": -1}, {"seed": 2**64}, {"enumeration_threshold": 0},
+        {"seed": -1}, {"seed": 2**64}, {"epsilon": math.inf},
         {"tolerance_eta": math.inf}, {"tolerance_eta": math.nan},
     ])
     def test_rejects_bad_values(self, kwargs):

@@ -24,7 +24,7 @@ from clusterperm import cli, simharness
 from clusterperm.calibrate import CalibrationParams, calibrate_exhaustive
 from clusterperm.cli import dispatch
 from clusterperm.errors import DegeneracyWarning, InfeasibleLevelError
-from clusterperm.estimators import ingest_csv
+from clusterperm.estimators import load_estimates
 from clusterperm.permkit import Design, RngStream
 from clusterperm.permtest import (
     adjusted_test,
@@ -32,6 +32,10 @@ from clusterperm.permtest import (
     lookup_bar_alpha,
     size_bound,
 )
+
+
+CALIBRATE_PARAMS = ("--param", "R=60", "--param", "S1=200", "--param",
+                    "S2=1000", "--seed", "5", "--json")
 
 
 def run_cli(capsys, *argv):
@@ -149,7 +153,7 @@ class TestAlphaCommand:
     def test_calibrate_prints_seed_and_source(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
                                "--alpha", "0.10", "--calibrate",
-                               "exhaustive", "--seed", "3", "--param",
+                               "--seed", "3", "--param",
                                "R=200", "--param", "S1=100", "--param",
                                "S2=400", "--json")
         assert code == 0
@@ -161,7 +165,7 @@ class TestAlphaCommand:
     def test_calibrate_generates_seed_when_omitted(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
                                "--alpha", "0.10", "--calibrate",
-                               "exhaustive", "--param", "R=100", "--param",
+                               "--param", "R=100", "--param",
                                "S1=100", "--param", "S2=200", "--json")
         assert code == 0
         assert isinstance(json.loads(out)["seed"], int)
@@ -169,7 +173,7 @@ class TestAlphaCommand:
     def test_calibrate_json_carries_diagnostics(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
                                "--alpha", "0.10", "--calibrate",
-                               "exhaustive", "--seed", "3", "--param",
+                               "--seed", "3", "--param",
                                "R=50", "--param", "S1=50", "--param",
                                "S2=100", "--json")
         assert code == 0
@@ -181,7 +185,7 @@ class TestAlphaCommand:
     def test_calibrate_csv_diagnostics_cell_is_json(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
                                "--alpha", "0.10", "--calibrate",
-                               "exhaustive", "--seed", "3", "--param",
+                               "--seed", "3", "--param",
                                "R=50", "--param", "S1=50", "--param",
                                "S2=100", "--csv")
         assert code == 0
@@ -191,7 +195,7 @@ class TestAlphaCommand:
     def test_bad_calibration_parameter_value_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
                                "--alpha", "0.1", "--calibrate",
-                               "exhaustive", "--param", "R=abc")
+                               "--param", "R=abc")
         assert code == 2
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError"
@@ -201,7 +205,7 @@ class TestAlphaCommand:
         # alpha + eta = inf once let every level pass: bar_alpha near 1
         code, out, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
                                  "--alpha", "0.1", "--calibrate",
-                                 "exhaustive", "--param", "R=50", "--param",
+                                 "--param", "R=50", "--param",
                                  "S1=50", "--param", "S2=100", "--param",
                                  "tolerance_eta=inf", "--seed", "1")
         assert code == 2 and out == ""
@@ -211,34 +215,48 @@ class TestAlphaCommand:
 
     def test_unknown_calibration_parameter(self, capsys):
         code, _, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
-                               "--alpha", "0.10", "--calibrate", "sampled",
+                               "--alpha", "0.10", "--calibrate",
                                "--param", "bogus=1")
         assert code == 2
         assert "bogus" in json.loads(err)["error"]["message"]
 
+    # --calibrate takes no value: the old two-word form is a usage error
+    # naming the stray value, and the plain flag runs the calibrator that
+    # the design's assignment count (threshold 1,500) calls for
+
     def test_sampled_on_small_design_names_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
                                  "--alpha", "0.1", "--calibrate", "sampled")
-        error = json.loads(err)["error"]
         assert code == 2 and out == ""
-        assert error["type"] == "ContractError"
-        assert error["message"].endswith(
-            "use calibrate_exhaustive (--calibrate exhaustive)")
+        assert json.loads(err)["error"] == {
+            "type": "UsageError",
+            "message": "unrecognized arguments: sampled"}
+        # 4+4 has 70 assignments
+        code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                               "--alpha", "0.1", "--calibrate",
+                               *CALIBRATE_PARAMS)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["method"] == "exhaustive"
 
     def test_exhaustive_on_large_design_names_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "alpha", "--q1", "7", "--q0", "7",
                                  "--alpha", "0.1", "--calibrate",
                                  "exhaustive")
-        error = json.loads(err)["error"]
         assert code == 2 and out == ""
-        assert error["type"] == "CapacityError"
-        assert error["message"].endswith(
-            "use calibrate_sampled (--calibrate sampled)")
+        assert json.loads(err)["error"] == {
+            "type": "UsageError",
+            "message": "unrecognized arguments: exhaustive"}
+        # 7+7 has 3,432 assignments
+        code, out, _ = run_cli(capsys, "alpha", "--q1", "7", "--q0", "7",
+                               "--alpha", "0.1", "--calibrate",
+                               *CALIBRATE_PARAMS)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["method"] == "sampled"
 
     def test_calibrate_diagnostics_carry_the_seed(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
                                "--alpha", "0.10", "--calibrate",
-                               "exhaustive", "--seed", "5", "--param",
+                               "--seed", "5", "--param",
                                "R=50", "--param", "S1=50", "--param",
                                "S2=100", "--json")
         assert code == 0
@@ -286,7 +304,7 @@ class TestTestCommand:
                                "--lambda", "0.25", "--json")
         assert code == 0
         payload = json.loads(out)
-        expected = adjusted_test(ingest_csv(path, schema="estimates"),
+        expected = adjusted_test(load_estimates(path),
                                  0.05, side="two-sided", lam=0.25)
         for key, value in expected.to_json_dict().items():
             assert payload[key] == value, key
@@ -308,6 +326,24 @@ class TestTestCommand:
         payload = json.loads(out)
         assert payload["n_assignments"] == 70
         assert payload["mode"] == "intercept"
+
+    def test_perfectly_separated_cluster_exits_two(self, capsys, tmp_path):
+        # a cluster with one outcome value has no binary-choice fit: bad
+        # input, not a numerical failure
+        lines = ["cluster_id,treated,outcome"]
+        for k in range(8):
+            lines += [f"c{k},{int(k < 4)},{1 if k == 0 else i % 2}"
+                      for i in range(40)]
+        path = tmp_path / "binary.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for mode in ("logistic", "probit"):
+            code, out, err = run_cli(capsys, "test", "--input", str(path),
+                                     "--mode", mode, "--alpha", "0.1")
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == {
+                "type": "DegenerateDataError",
+                "message": "cluster 'c0' is perfectly separated "
+                           "(all outcomes 1)"}
 
     def test_covariate_scale_does_not_decide_rank(self, capsys, tmp_path):
         # x1 scaled by 1e-12 exited 1 with RankDeficientError: rank was
@@ -411,7 +447,7 @@ class TestTestCommand:
         for side, level in (("right", 0.2), ("two-sided", 0.1)):
             code, out, _ = run_cli(capsys, "test", "--input", str(path),
                                    "--alpha", "0.2", "--side", side,
-                                   "--calibrate", "exhaustive", "--seed",
+                                   "--calibrate", "--seed",
                                    "5", *params, "--json")
             assert code == 0
             payload = json.loads(out)
@@ -420,7 +456,7 @@ class TestTestCommand:
             entry = calibrate_exhaustive(
                 Design(3, 13), level,
                 params=CalibrationParams(R=50, S1=50, S2=100, seed=5))
-            expected = adjusted_test(ingest_csv(path, schema="estimates"),
+            expected = adjusted_test(load_estimates(path),
                                      0.2, side=side, alpha_entry=entry)
             for key, value in expected.to_json_dict().items():
                 assert payload[key] == value, key
@@ -655,7 +691,7 @@ class TestSimulateCommand:
         runs = {"replications": ("simulate", "--study", "normal", "--config",
                                  str(cfg), "--out", str(tmp_path / "x.csv")),
                 "R": ("alpha", "--q1", "4", "--q0", "4", "--alpha", "0.1",
-                      "--calibrate", "exhaustive", "--param", "R=1.5")}
+                      "--calibrate", "--param", "R=1.5")}
         for key, argv in runs.items():
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == ""
@@ -812,7 +848,7 @@ class TestStartup:
         binary.write_text("cluster_id,treated,outcome\n" + "".join(
             f"k{k},{int(k < 4)},{y}\n"
             for k in range(8) for y in (0, 1, k % 2, 1)))
-        calibrate = ["--calibrate", "exhaustive", "--seed", "1", "--param",
+        calibrate = ["--calibrate", "--seed", "1", "--param",
                      "R=50", "--param", "S1=50", "--param", "S2=100"]
         commands = {
             "bound": ["bound", "--q1", "4", "--q0", "4"],

@@ -20,20 +20,17 @@ from clusterperm.errors import (
     ContractError,
     DegenerateDataError,
     DomainError,
-    EstimationError,
     InputFormatError,
     RankDeficientError,
     ShapeError,
 )
 from clusterperm.estimators import (
     ClusterDataset,
-    EstimatorSpec,
     _parse_binary,
     _parse_float,
-    binary_choice_cluster_estimates,
+    cluster_estimates,
     ingest_csv,
     load_estimates,
-    per_cluster_ols,
 )
 from clusterperm.permtest import adjusted_test
 
@@ -146,28 +143,34 @@ class TestClusterDataset:
 
 
 # =========================================================================
-# EstimatorSpec
+# estimator modes
 # =========================================================================
 
 class TestEstimatorSpec:
+    """The mode name is the whole estimator specification."""
+
     def test_valid_specs(self):
-        assert EstimatorSpec("intercept").link is None
-        assert EstimatorSpec("did-slope").link is None
-        assert EstimatorSpec("binary-choice", link="probit").link == "probit"
+        ds = ClusterDataset(["a"] * 4 + ["b"] * 4, [1] * 4 + [0] * 4,
+                            [1, 0, 0, 1, 0, 1, 1, 0], post=[0, 1] * 4)
+        for mode in estimators.MODES:
+            est = cluster_estimates(ds, mode)
+            assert est.cluster_ids == ("a", "b")
+            assert np.all(np.isfinite(est.values))
 
     @pytest.mark.parametrize("kwargs", [
         {"mode": "mean"},
         {"mode": "binary-choice"},
-        {"mode": "binary-choice", "link": "cauchit"},
-        {"mode": "intercept", "link": "logistic"},
+        {"mode": "cauchit"},
+        {"mode": "estimates"},
     ])
     def test_invalid_specs(self, kwargs):
+        ds = ClusterDataset(["u", "v"], [1, 0], [1.0, 0.0])
         with pytest.raises(DomainError):
-            EstimatorSpec(**kwargs)
+            cluster_estimates(ds, **kwargs)
 
 
 # =========================================================================
-# per_cluster_ols
+# least-squares modes
 # =========================================================================
 
 class TestPerClusterOls:
@@ -175,7 +178,7 @@ class TestPerClusterOls:
         ds = ClusterDataset(["t"] * 3 + ["c"] * 3, [1] * 3 + [0] * 3,
                             THREE_POINT_Y + [4.0, 4.0, 4.0],
                             covariates=np.array(THREE_POINT_X * 2)[:, None])
-        est = per_cluster_ols(ds, EstimatorSpec("intercept"))
+        est = cluster_estimates(ds, "intercept")
         assert est.values[0] == pytest.approx(THREE_POINT_INTERCEPT, abs=1e-12)
         assert est.values[1] == pytest.approx(4.0, abs=1e-12)
 
@@ -185,7 +188,7 @@ class TestPerClusterOls:
         ds = ClusterDataset(["t"] * 9 + ["c"] * 9, [1] * 9 + [0] * 9,
                             np.concatenate([y, -y]),
                             covariates=np.concatenate([x, x])[:, None])
-        est = per_cluster_ols(ds, EstimatorSpec("intercept"))
+        est = cluster_estimates(ds, "intercept")
         np.testing.assert_allclose(est.values, [2.0, -2.0], atol=1e-12)
 
     def test_did_slope_noiseless(self):
@@ -193,13 +196,13 @@ class TestPerClusterOls:
         y = [1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]
         ds = ClusterDataset(["p"] * 6 + ["q"] * 6, [1] * 6 + [0] * 6, y,
                             post=post)
-        est = per_cluster_ols(ds, EstimatorSpec("did-slope"))
+        est = cluster_estimates(ds, "did-slope")
         np.testing.assert_allclose(est.values, [0.5, 0.0], atol=1e-12)
 
     def test_pooled_interacted_equivalence(self):
         rng = np.random.default_rng(7)
         ds = _random_dataset(rng)
-        est = per_cluster_ols(ds, EstimatorSpec("intercept"))
+        est = cluster_estimates(ds, "intercept")
         pooled = _pooled_interacted_ols(ds)
         np.testing.assert_allclose(est.values, pooled, atol=1e-10)
 
@@ -215,8 +218,8 @@ class TestPerClusterOls:
                             for k in range(ds.design.q)]),
             covariates=np.vstack([ds.cluster_rows(k)[1]
                                   for k in range(ds.design.q)]))
-        base = per_cluster_ols(ds, EstimatorSpec("intercept"))
-        moved = per_cluster_ols(shifted, EstimatorSpec("intercept"))
+        base = cluster_estimates(ds, "intercept")
+        moved = cluster_estimates(shifted, "intercept")
         np.testing.assert_allclose(moved.values, base.values + 3.25,
                                    atol=1e-10)
         # the comparison of means never feels a common shift
@@ -233,7 +236,7 @@ class TestPerClusterOls:
                             covariates=np.vstack([np.column_stack(
                                 [x, x ** 2]), cov]))
         with pytest.raises(RankDeficientError, match="bad"):
-            per_cluster_ols(ds, EstimatorSpec("intercept"))
+            cluster_estimates(ds, "intercept")
 
     @given(k=st.integers(-60, 60), column=st.integers(0, 1),
            seed=st.integers(0, 2**32 - 1))
@@ -249,9 +252,10 @@ class TestPerClusterOls:
         y = 3.0 + x @ rng.normal(size=2) + rng.normal(size=q * n)
         scaled = x.copy()
         scaled[:, column] *= 2.0 ** k
-        spec = EstimatorSpec("intercept")
-        base = per_cluster_ols(ClusterDataset(ids, treated, y, x), spec)
-        moved = per_cluster_ols(ClusterDataset(ids, treated, y, scaled), spec)
+        base = cluster_estimates(ClusterDataset(ids, treated, y, x),
+                                 "intercept")
+        moved = cluster_estimates(ClusterDataset(ids, treated, y, scaled),
+                                  "intercept")
         np.testing.assert_allclose(moved.values, base.values, rtol=1e-12,
                                    atol=0.0)
         assert (adjusted_test(moved, 0.10).decision
@@ -262,26 +266,23 @@ class TestPerClusterOls:
                             [1.0, 2.0, 3.0, 4.0],
                             covariates=[[0.5], [1.0], [2.0], [3.0]])
         with pytest.raises(DegenerateDataError, match="tiny"):
-            per_cluster_ols(ds, EstimatorSpec("intercept"))
+            cluster_estimates(ds, "intercept")
 
     def test_mode_contract(self):
         ds = ClusterDataset(["u", "v"], [1, 0], [1.0, 0.0])
         with pytest.raises(ContractError):
-            per_cluster_ols(ds, EstimatorSpec("binary-choice",
-                                              link="logistic"))
-        with pytest.raises(ContractError):
-            per_cluster_ols(ds, EstimatorSpec("did-slope"))  # no post column
+            cluster_estimates(ds, "did-slope")  # no post column
 
     def test_estimates_carry_ids_and_order(self):
         ds = ClusterDataset(["z", "z", "a", "a"], [0, 0, 1, 1],
                             [5.0, 7.0, 1.0, 3.0])
-        est = per_cluster_ols(ds, EstimatorSpec("intercept"))
+        est = cluster_estimates(ds, "intercept")
         assert est.cluster_ids == ("a", "z")
         np.testing.assert_allclose(est.values, [2.0, 6.0])
 
 
 # =========================================================================
-# binary_choice_cluster_estimates
+# binary-choice modes
 # =========================================================================
 
 class TestBinaryChoice:
@@ -289,12 +290,10 @@ class TestBinaryChoice:
         # theta = link inverse of the success rate, exactly
         y = [1] * 7 + [0] * 3 + [1] * 5 + [0] * 5
         ds = ClusterDataset(["a"] * 10 + ["b"] * 10, [1] * 10 + [0] * 10, y)
-        logit = binary_choice_cluster_estimates(
-            ds, EstimatorSpec("binary-choice", link="logistic"))
+        logit = cluster_estimates(ds, "logistic")
         np.testing.assert_allclose(logit.values, [LOGIT_7_OF_10, 0.0],
                                    atol=1e-8)
-        probit = binary_choice_cluster_estimates(
-            ds, EstimatorSpec("binary-choice", link="probit"))
+        probit = cluster_estimates(ds, "probit")
         np.testing.assert_allclose(
             probit.values, [norm.ppf(0.7), 0.0], atol=1e-8)
 
@@ -314,8 +313,7 @@ class TestBinaryChoice:
         ds = ClusterDataset(["t"] * n + ["c"] * n, [1] * n + [0] * n,
                             np.concatenate([y, y2]),
                             covariates=np.vstack([x, rng.normal(size=(n, 2))]))
-        est = binary_choice_cluster_estimates(
-            ds, EstimatorSpec("binary-choice", link=link))
+        est = cluster_estimates(ds, link)
 
         # independent route: generic root finder on the same moments
         from scipy.special import ndtr as _ndtr
@@ -337,21 +335,14 @@ class TestBinaryChoice:
     def test_separation_names_cluster(self):
         ds = ClusterDataset(["sep"] * 4 + ["ok"] * 4, [1] * 4 + [0] * 4,
                             [1, 1, 1, 1, 1, 0, 1, 0])
-        with pytest.raises(EstimationError, match="sep"):
-            binary_choice_cluster_estimates(
-                ds, EstimatorSpec("binary-choice", link="logistic"))
+        with pytest.raises(DegenerateDataError, match="sep"):
+            cluster_estimates(ds, "logistic")
 
     def test_nonbinary_outcome_rejected(self):
         ds = ClusterDataset(["a"] * 4 + ["b"] * 4, [1] * 4 + [0] * 4,
                             [1, 0, 0.5, 1, 1, 0, 1, 0])
         with pytest.raises(DomainError, match="a"):
-            binary_choice_cluster_estimates(
-                ds, EstimatorSpec("binary-choice", link="logistic"))
-
-    def test_mode_contract(self):
-        ds = ClusterDataset(["u", "v"], [1, 0], [1.0, 0.0])
-        with pytest.raises(ContractError):
-            binary_choice_cluster_estimates(ds, EstimatorSpec("intercept"))
+            cluster_estimates(ds, "logistic")
 
 
 # =========================================================================
@@ -434,11 +425,6 @@ class TestIngestCsv:
         with pytest.raises(InputFormatError, match="'a'"):
             ingest_csv(path)
 
-    def test_unknown_schema(self, tmp_path):
-        path = self._write(tmp_path, "cluster_id,treated,outcome\na,1,1.0\n")
-        with pytest.raises(DomainError):
-            ingest_csv(path, schema="panel")
-
 
 class TestLoadEstimates:
     def test_passthrough(self, tmp_path):
@@ -449,14 +435,6 @@ class TestLoadEstimates:
         assert est.cluster_ids == ("c2", "c3", "c1", "c4")
         np.testing.assert_array_equal(est.values, [2.5, 0.25, 1.5, -1.0])
         assert (est.design.q1, est.design.q0) == (2, 2)
-
-    def test_schema_dispatch_matches(self, tmp_path):
-        path = tmp_path / "est.csv"
-        path.write_text("cluster_id,treated,estimate\nc1,0,1.5\nc2,1,2.5\n")
-        a = load_estimates(path)
-        b = ingest_csv(path, schema="estimates")
-        assert a.cluster_ids == b.cluster_ids
-        np.testing.assert_array_equal(a.values, b.values)
 
     def test_duplicate_cluster_rejected(self, tmp_path):
         path = tmp_path / "est.csv"
@@ -900,7 +878,7 @@ class TestPipeline:
         path = tmp_path / "obs.csv"
         path.write_text("\n".join(lines) + "\n")
         ds = ingest_csv(path)
-        est = per_cluster_ols(ds, EstimatorSpec("intercept"))
+        est = cluster_estimates(ds, "intercept")
         assert est.design.q1 == 4 and est.design.q0 == 4
         # write the estimates out and read them back
         out = tmp_path / "est.csv"

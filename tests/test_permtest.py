@@ -395,6 +395,15 @@ class TestLookupBarAlpha:
 # ===========================================================================
 
 class TestAdjustedTest:
+    def test_alpha_entry_of_another_design_is_refused(self):
+        # the 4+4 level at .10 once ran a 6+6 test without a word
+        est = ClusterEstimates(Design(6, 6), np.arange(12.0)[::-1])
+        with pytest.raises(ContractError, match="q1=4, q0=4"):
+            adjusted_test(est, 0.05, alpha_entry=lookup_bar_alpha(4, 4, 0.10))
+        own = adjusted_test(est, 0.05,
+                            alpha_entry=lookup_bar_alpha(6, 6, 0.05))
+        assert own == adjusted_test(est, 0.05)
+
     def test_constant_estimates_retain(self):
         est = _estimates([2.0] * 8, 4)
         with pytest.warns(DegeneracyWarning):

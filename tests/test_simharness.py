@@ -4,7 +4,7 @@ The study blocks are pinned, replication by replication, to one-dataset
 references: adjusted_test for the permutation arm, scipy's Welch
 statistic for the group t-test, and one pooled_t call per dataset for
 the pooled t-test and the wild bootstrap, with the DiD study's
-per-cluster fits redone through per_cluster_ols.
+per-cluster fits redone through cluster_estimates.
 """
 
 import dataclasses
@@ -26,7 +26,7 @@ from clusterperm.errors import (
     DomainError,
     InputFormatError,
 )
-from clusterperm.estimators import ClusterDataset, EstimatorSpec, per_cluster_ols
+from clusterperm.estimators import ClusterDataset, cluster_estimates
 from clusterperm.permkit import Design, RngStream
 from clusterperm.permtest import ClusterEstimates, adjusted_test
 from clusterperm.rivals import bootstrap_p_values, dof_adjustment, pooled_t
@@ -113,7 +113,7 @@ def _did_reference_decisions(cfg: DidConfig, rep: int):
             ds = ClusterDataset(cluster_ids=cids, treated=treated.astype(int),
                                 outcome=y, covariates=covs,
                                 post=post.astype(int))
-            theta = per_cluster_ols(ds, EstimatorSpec("did-slope"))
+            theta = cluster_estimates(ds, "did-slope")
             # rows are cluster-major, so cluster k starts at row k * t
             x = np.column_stack([np.ones(q * t), post, post * treated,
                                  covs])
@@ -389,6 +389,32 @@ class TestNormalLocationStudy:
         two = run_normal_location_study(cfg, workers=3)
         assert one.rows == two.rows
         assert one.metadata["data_checksum"] == two.metadata["data_checksum"]
+
+    def test_pool_never_outnumbers_the_blocks(self, monkeypatch):
+        # a forked pool starts all its workers at the first submit; 300
+        # replications are 2 blocks, so 4 workers would leave 2 idle
+        import concurrent.futures
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlineExecutor)
+        cfg = NormalLocationConfig(replications=300, seed=5)
+        table = run_normal_location_study(cfg, workers=4)
+        assert sizes == [2]
+        assert table.rows == run_normal_location_study(cfg).rows
 
     def test_checksum_invariant_to_block_size(self, monkeypatch):
         cfg = NormalLocationConfig(replications=50, seed=8)

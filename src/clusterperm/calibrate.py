@@ -54,6 +54,8 @@ from .permtest import AlphaEntry, check_alpha, order_index_from_level, size_boun
 # assignment collection (calibrate_exhaustive), larger ones over a sample
 # of m assignments (calibrate_sampled).
 ENUMERATION_THRESHOLD = 1500
+# the CalibrationParams fields that only calibrate_sampled reads
+SAMPLED_PARAMS = ("epsilon", "m")
 
 
 @dataclass(frozen=True)
@@ -239,12 +241,9 @@ def _diagnostics(method: str, params: CalibrationParams, alpha: float,
         "worst_variances": engine.V[final_r].tolist(),
         "top_variances": engine.V[worst_idx].tolist(),
         "binding": binding,
-        "params": {
-            "R": params.R, "S1": params.S1, "S2": params.S2,
-            "top_fraction": params.top_fraction,
-            "beta_a": params.beta_a, "beta_b": params.beta_b,
-            "epsilon": params.epsilon, "m": params.m,
-        },
+        "params": {name: getattr(params, name) for name in (
+            "R", "S1", "S2", "top_fraction", "beta_a", "beta_b",
+            *(SAMPLED_PARAMS if method == "sampled" else ()))},
     }
     diag.update(extra)
     return diag

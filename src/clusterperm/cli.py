@@ -29,6 +29,7 @@ from dataclasses import fields, replace
 
 from .calibrate import (
     ENUMERATION_THRESHOLD,
+    SAMPLED_PARAMS,
     CalibrationParams,
     calibrate_exhaustive,
     calibrate_sampled,
@@ -221,8 +222,9 @@ def _cmd_bound(ns):
 def _alpha_entry(ns, design, alpha, seed):
     """The adjusted level for the command: under --calibrate, calibrated
     with `seed`, exhaustively when the design has fewer than
-    ENUMERATION_THRESHOLD assignments and on a sample otherwise; else
-    the tabulated entry."""
+    ENUMERATION_THRESHOLD assignments (which refuses the sampled
+    calibrator's parameters) and on a sample otherwise; else the
+    tabulated entry."""
     if not ns.calibrate:
         if ns.param:
             raise DomainError("--param requires --calibrate")
@@ -230,10 +232,16 @@ def _alpha_entry(ns, design, alpha, seed):
     mapping = dict(item.partition("=")[::2] for item in ns.param)
     params = replace(config_from_strings(CalibrationParams, mapping),
                      seed=seed)
-    fn = (calibrate_exhaustive
-          if design.n_assignments < ENUMERATION_THRESHOLD
-          else calibrate_sampled)
-    return fn(design, alpha, params=params)
+    n = design.n_assignments
+    if n >= ENUMERATION_THRESHOLD:
+        return calibrate_sampled(design, alpha, params=params)
+    ignored = [name for name in SAMPLED_PARAMS if name in mapping]
+    if ignored:
+        raise DomainError(
+            f"{', '.join(ignored)}: parameters of the sampled calibrator "
+            f"(C(q, q1) >= {ENUMERATION_THRESHOLD}); this design has {n} "
+            "assignments and is calibrated exhaustively")
+    return calibrate_exhaustive(design, alpha, params=params)
 
 
 def _cmd_alpha(ns):

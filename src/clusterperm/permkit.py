@@ -114,7 +114,8 @@ class RngStream:
     distinct ids give statistically independent streams.  ``derived``
     opens deterministic substreams keyed by extra integer indices, which
     is how replications, calibration draws, and bootstrap repetitions
-    each get their own independent stream.
+    each get their own independent stream.  `stream_generators` opens
+    the streams of many ids of one seed at once, with the same draws.
     """
 
     seed: int
@@ -135,6 +136,113 @@ class RngStream:
 
     def derived(self, *key: int) -> "RngStream":
         return RngStream(self.seed, self.stream_id, self.subkey + key)
+
+
+# numpy's SeedSequence hash (pool of 4 words) and PCG64's LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_STREAM_ROWS = 1 << 12  # streams seeded per vectorised pass
+
+
+def _hash_pairs(const: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xored, multiplied) constant pairs of n successive SeedSequence
+    hashes: the constant starts at `const` and is multiplied by `mult`
+    (mod 2^32) before each product."""
+    consts = [const]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return list(itertools.pairwise(consts))
+
+
+# a spawned stream's entropy is the seed's words, zero-padded to the pool
+# size 4, and one id word: 4 hashes fill the pool, 12 mix it pairwise and
+# 4 mix in the id word.  generate_state(4, uint64) hashes 8 pool words.
+_HASH_A = _hash_pairs(_INIT_A, _MULT_A, 20)
+_HASH_B = _hash_pairs(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value, xored: int, mult: int):
+    """SeedSequence's hashmix of value (an int or a uint32 array)."""
+    value = (value ^ xored) * mult & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: int, y):
+    """SeedSequence's mix of pool word x and hashed word y (an int or a
+    uint32 array)."""
+    value = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _seed_pool(seed: int) -> list[int]:
+    """The pool of SeedSequence(seed, spawn_key=(id,)) before the id word
+    is mixed in, which is the same for every id."""
+    hashes = iter(_HASH_A[:16])
+    pool = [_hashmix(word, *next(hashes))
+            for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
+    return pool
+
+
+def _pcg64_states(pool: list[int], ids: np.ndarray) -> list[dict]:
+    """The PCG64 states seeded by SeedSequence(seed, spawn_key=(id,)) for
+    one-word ids (a uint32 array), given the seed's pool, as the dicts
+    numpy's state setter takes."""
+    words = [_mix(p, _hashmix(ids, *h)) for p, h in zip(pool, _HASH_A[16:])]
+    out = np.empty((len(ids), 8), dtype="<u4")
+    for i, h in enumerate(_HASH_B):
+        out[:, i] = _hashmix(words[i % 4], *h)
+    # each uint64 is a little-endian pair of words; pcg64_set_seed reads
+    # uint64s 0-1 as initstate and 2-3 as initseq, high half first
+    w = out.view("<u8").astype(object)
+    inc = ((w[:, 2] << 64 | w[:, 3]) << 1 | 1) & _MASK128
+    # pcg64_set_seed: one LCG step from 0 gives inc, add initstate, step
+    state = ((inc + (w[:, 0] << 64 | w[:, 1])) * _PCG_MULT + inc) & _MASK128
+    return [{"bit_generator": "PCG64", "state": {"state": s, "inc": i},
+             "has_uint32": 0, "uinteger": 0}
+            for s, i in zip(state.tolist(), inc.tolist())]
+
+
+def stream_generators(seed: int, ids):
+    """For each id in order, a generator at the start of
+    RngStream(seed, id): its draws are those of
+    RngStream(seed, id).generator().
+
+    One generator is reused and reset for every id, so the caller must
+    finish a stream's draws before it asks for the next.  The PCG64
+    states of ids below 2^32 are computed in vectorised passes, with the
+    seed's part of the SeedSequence hash done once; any other id opens
+    RngStream(seed, id).generator(), which also validates it.
+    """
+    seed = seed_int("seed", seed)
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ShapeError(f"ids must be one-dimensional, got shape {ids.shape}")
+    return _reset_streams(seed, ids)
+
+
+def _reset_streams(seed: int, ids: np.ndarray):
+    """The body of stream_generators, after its checks."""
+    pool = _seed_pool(seed)
+    gen = np.random.Generator(np.random.PCG64(0))
+    for lo in range(0, len(ids), _STREAM_ROWS):
+        chunk = ids[lo:lo + _STREAM_ROWS]
+        one_word = ((chunk >= 0) & (chunk <= _MASK32) if chunk.dtype.kind
+                    in "iu" else np.zeros(len(chunk), dtype=bool))
+        states = iter(_pcg64_states(pool, chunk[one_word].astype(np.uint32)))
+        for stream_id, bulk in zip(chunk.tolist(), one_word.tolist()):
+            if bulk:
+                gen.bit_generator.state = next(states)
+                yield gen
+            else:
+                yield RngStream(seed, stream_id).generator()
 
 
 def enumerate_assignments(design: Design) -> np.ndarray:

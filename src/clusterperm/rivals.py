@@ -28,9 +28,10 @@ linearly: they are those of y plus s times those of x_t.  Everything the
 bootstrap forms from them before the signs act (the per-cluster target
 scores and the q x q sandwich map) is linear as well, so one restricted
 fit of the two basis outcomes y and x_t gives every shift, and only the
-sign products are formed per shift.  The identities are exact in exact
-arithmetic; in floating point the statistics agree with a fit of each
-shifted outcome to roundoff.
+sign products are formed per shift, all shifts in one matmul per
+dataset.  The identities are exact in exact arithmetic; in floating
+point the statistics agree with a fit of each shifted outcome to
+roundoff.
 """
 
 from __future__ import annotations
@@ -118,13 +119,19 @@ def pooled_t(x: np.ndarray, y: np.ndarray, starts: np.ndarray, t_idx: int,
     m[..., np.arange(q), np.arange(q)] += np.add.reduceat(xa * resid_r,
                                                           starts, axis=-1)
     rho = np.matvec(r_scores, a)
-    if shifts is not None:
+    if shifts is None:
+        coef_star = np.matvec(signs, rho)
+        sign_products = signs @ m.mT
+    else:
         s = shifts[:, None]
         rho = rho[0, ..., None, :] + s * rho[1, ..., None, :]
         m = m[0, ..., None, :, :] + s[..., None] * m[1, ..., None, :, :]
-        signs = signs[..., None, :, :]
-    coef_star = np.matvec(signs, rho)
-    sign_products = signs @ m.mT
+        coef_star = np.matvec(signs[..., None, :, :], rho)
+        # the shifts' maps side by side, (..., q, D q), so that the signs
+        # meet every shift in one product; then back to (..., D, R, q)
+        side = np.moveaxis(m, -1, -3).reshape(*m.shape[:-3], q, -1)
+        sign_products = np.moveaxis(
+            (signs @ side).reshape(*signs.shape[:-1], len(shifts), q), -2, -3)
     var_star = adj * np.einsum("...i,...i->...", sign_products, sign_products)
     t_star = np.divide(coef_star, np.sqrt(var_star),
                        out=np.zeros_like(coef_star), where=var_star > 0.0)

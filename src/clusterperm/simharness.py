@@ -5,7 +5,9 @@ Both studies pit the adjusted permutation test against its rivals on
 identical data, replication by replication.  Replication r of a study
 with seed s draws everything from RngStream(s, r) in a fixed order, so
 results are bit-identical no matter how replications are chunked or how
-many workers run them.
+many workers run them.  A block opens its replications' streams with
+permkit.stream_generators, which seeds them in one vectorised pass and
+gives the draws of RngStream(s, r).generator().
 
 Draw order per replication:
   normal location study: one standard normal vector of length q.
@@ -50,11 +52,11 @@ import numpy as np
 from .errors import DomainError
 from .permkit import (
     Design,
-    RngStream,
     _check_magnitudes,
     positive_int,
     relabeling_counts,
     seed_int,
+    stream_generators,
 )
 from .permtest import check_alpha, lookup_bar_alpha
 from .rivals import bootstrap_p_values, dof_adjustment, group_t, pooled_t
@@ -234,8 +236,8 @@ def _normal_block(cfg: NormalLocationConfig, lo: int, hi: int):
 
     z = np.empty((hi - lo, q))
     checksum = 0
-    for i, rep in enumerate(range(lo, hi)):
-        z[i] = RngStream(cfg.seed, rep).generator().standard_normal(q)
+    for i, gen in enumerate(stream_generators(cfg.seed, range(lo, hi))):
+        gen.standard_normal(out=z[i])
         checksum ^= zlib.crc32(z[i].tobytes())
 
     counts = np.zeros((len(cfg.mu1_grid), 2), dtype=np.int64)
@@ -308,8 +310,7 @@ def _did_block(cfg: DidConfig, lo: int, hi: int):
     zx3 = np.empty((n_rep, t, q))
     signs = np.empty((n_rep, b_boot, q))
     checksum = 0
-    for i, rep in enumerate(range(lo, hi)):
-        gen = RngStream(cfg.seed, rep).generator()
+    for i, gen in enumerate(stream_generators(cfg.seed, range(lo, hi))):
         for arr in (zv[i], zw[i], zx2[i], zx3[i]):
             gen.standard_normal(out=arr)
         signs[i] = gen.integers(0, 2, size=(b_boot, q)) * 2.0 - 1.0

@@ -262,6 +262,43 @@ class TestAlphaCommand:
         assert code == 0
         assert json.loads(out)["diagnostics"]["seed"] == 5
 
+    # m and epsilon are read only by the sampled calibrator (C(q, q1) >=
+    # 1,500): at 4+4 (70 assignments) they were accepted, ignored and
+    # echoed in the diagnostics
+
+    @pytest.mark.parametrize("ignored", [("m=7",), ("epsilon=0.05",),
+                                         ("m=1500", "epsilon=0.05")])
+    def test_exhaustive_refuses_sampled_params(self, capsys, ignored):
+        extra = [arg for item in ignored for arg in ("--param", item)]
+        code, out, err = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                                 "--alpha", "0.1", "--calibrate",
+                                 *CALIBRATE_PARAMS, *extra)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "parameters of the sampled calibrator" in error["message"]
+        for item in ignored:
+            assert item.partition("=")[0] in error["message"]
+
+    def test_diagnostics_list_the_params_each_calibrator_reads(self, capsys):
+        read = {"R", "S1", "S2", "top_fraction", "beta_a", "beta_b"}
+        code, out, _ = run_cli(capsys, "alpha", "--q1", "4", "--q0", "4",
+                               "--alpha", "0.1", "--calibrate",
+                               *CALIBRATE_PARAMS)
+        assert code == 0
+        assert set(json.loads(out)["diagnostics"]["params"]) == read
+        # 7+7 has 3,432 assignments: the sampled calibrator takes both
+        code, out, _ = run_cli(capsys, "alpha", "--q1", "7", "--q0", "7",
+                               "--alpha", "0.1", "--calibrate",
+                               *CALIBRATE_PARAMS, "--param", "m=400",
+                               "--param", "epsilon=0.02")
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["method"] == "sampled" and diagnostics["m"] == 400
+        params = diagnostics["params"]
+        assert set(params) == read | {"m", "epsilon"}
+        assert (params["m"], params["epsilon"]) == (400, 0.02)
+
 
 # =========================================================================
 # test
@@ -480,6 +517,24 @@ class TestTestCommand:
                                "--alpha", "0.10", "--param", "R=100")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
+
+    def test_exhaustive_calibration_refuses_sampled_params(self, capsys,
+                                                          tmp_path):
+        path = tmp_path / "est.csv"
+        write_estimates_csv(path, list(range(8)), q1=4)
+        code, out, err = run_cli(capsys, "test", "--input", str(path),
+                                 "--alpha", "0.10", "--calibrate",
+                                 *CALIBRATE_PARAMS, "--param", "m=7")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "m: parameters of the sampled calibrator" in error["message"]
+        # without it the same command runs the exhaustive calibrator
+        code, out, _ = run_cli(capsys, "test", "--input", str(path),
+                               "--alpha", "0.10", "--calibrate",
+                               *CALIBRATE_PARAMS)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["method"] == "exhaustive"
 
     def test_overflowing_estimates_exit_two(self, capsys, tmp_path):
         # finite estimates whose subset sums overflow to inf used to give

@@ -26,6 +26,7 @@ from clusterperm.permkit import (
     count_at_or_above,
     relabeling_counts,
     sample_assignments,
+    stream_generators,
     weight_matrix,
 )
 from clusterperm.permtest import AlphaEntry, ClusterEstimates, adjusted_test
@@ -257,6 +258,62 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(DomainError):
             RngStream(2**64)
+
+
+class TestStreamGenerators:
+    """stream_generators(seed, ids) against one
+    RngStream(seed, id).generator() per id."""
+
+    @staticmethod
+    def _assert_matches(seed, ids):
+        for stream_id, gen in zip(ids, stream_generators(seed, ids),
+                                  strict=True):
+            want = RngStream(seed, stream_id).generator()
+            assert gen.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(gen.standard_normal(7),
+                                  want.standard_normal(7))
+            # 9 bounded draws take 9 half words: the stream ends with one
+            # buffered, which the next stream must not see
+            assert np.array_equal(gen.integers(0, 2, 9),
+                                  want.integers(0, 2, 9))
+            assert gen.bit_generator.state == want.bit_generator.state
+
+    # the last run crosses 2^32, where an id takes two SeedSequence words
+    # and opens its own generator
+    @pytest.mark.parametrize("ids", [range(300), range(257, 520),
+                                     range(2**32 - 3, 2**32 + 3)],
+                             ids=["0-300", "257-520", "2^32"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 3,
+                                      2**64 - 1])
+    def test_states_and_draws_match_rng_stream(self, seed, ids):
+        self._assert_matches(seed, ids)
+
+    def test_buffered_half_word_is_cleared(self):
+        ids = range(6)
+        for stream_id, gen in zip(ids, stream_generators(11, ids)):
+            want = RngStream(11, stream_id).generator()
+            assert gen.integers(0, 2) == want.integers(0, 2)
+            assert gen.bit_generator.state["has_uint32"] == 1
+            assert gen.bit_generator.state == want.bit_generator.state
+
+    def test_passes_across_chunks_and_id_lists(self, monkeypatch):
+        monkeypatch.setattr(permkit, "_STREAM_ROWS", 7)
+        self._assert_matches(2**40 + 3, range(23))
+        # unordered, repeated and fallback ids in one list
+        self._assert_matches(5, [9, 2**63, 3, 9, 2**32, 0, 2**32 - 1])
+        self._assert_matches(5, np.array([4, 2**64 - 1, 1], dtype=np.uint64))
+        assert list(stream_generators(5, [])) == []
+
+    def test_validation(self):
+        for seed in (-1, 2**64, 1.5):
+            with pytest.raises(DomainError):
+                stream_generators(seed, range(3))
+        with pytest.raises(ShapeError):
+            stream_generators(0, [[1, 2]])
+        # an id outside [0, 2^64) is refused when its stream is opened
+        for bad in ([-1], [2**64], [0.5]):
+            with pytest.raises(DomainError):
+                list(stream_generators(0, bad))
 
 
 # ===========================================================================

@@ -466,6 +466,22 @@ class TestShiftedOutcomes:
                 np.testing.assert_allclose(g[:, i], w, rtol=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_sign_products_of_all_shifts_are_exact(self, seed):
+        # the signs meet every shift's map in one matmul per dataset; t*
+        # is bit-identical to one shift's map alone and, at shift 0, to
+        # the call without shifts, which forms signs @ M' itself
+        x, y, starts, t_idx, adj, signs = self._stack(seed)
+        t_star = pooled_t(x, y, starts, t_idx, adj, signs,
+                          shifts=self.SHIFTS)[3]
+        for i in range(len(self.SHIFTS)):
+            one = pooled_t(x, y, starts, t_idx, adj, signs,
+                           shifts=self.SHIFTS[i:i + 1])[3]
+            assert np.array_equal(t_star[:, i], one[:, 0])
+        zero = list(self.SHIFTS).index(0.0)
+        assert np.array_equal(t_star[:, zero],
+                              pooled_t(x, y, starts, t_idx, adj, signs)[3])
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_all_plus_row_ties_with_t(self, seed):
         x, y, starts, t_idx, adj, signs = self._stack(seed)
         _, _, t, t_star = pooled_t(x, y, starts, t_idx, adj, signs,

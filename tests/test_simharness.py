@@ -593,6 +593,64 @@ class TestDidStudy:
 
 
 # =========================================================================
+# Two-word seeds
+# =========================================================================
+
+class TestTwoWordSeed:
+    """At a seed of two SeedSequence words, a block's counts and data
+    checksum match the per-replication oracles, which open one
+    RngStream(seed, rep).generator() per replication."""
+
+    SEED = 2**40 + 3
+
+    def test_normal_block(self):
+        cfg = NormalLocationConfig(q1=5, q0=5, mu1_grid=(0.0, 2.5),
+                                   replications=40, seed=self.SEED)
+        counts, checksum = sh._normal_block(cfg, 0, cfg.replications)
+        design = Design(5, 5)
+        im_crit = t_dist.ppf(1 - cfg.alpha, 4)
+        expect = np.zeros_like(counts)
+        want = 0
+        for rep in range(cfg.replications):
+            z = RngStream(cfg.seed, rep).generator().standard_normal(10)
+            want ^= zlib.crc32(z.tobytes())
+            for gi, mu1 in enumerate(cfg.mu1_grid):
+                x = _normal_draw(cfg, rep)
+                x[:cfg.q1] += mu1
+                x[cfg.q1:] += cfg.mu0
+                est = ClusterEstimates(design, x)
+                expect[gi] += (
+                    adjusted_test(est, cfg.alpha).decision == "reject",
+                    ttest_ind(x[:cfg.q1], x[cfg.q1:],
+                              equal_var=False).statistic > im_crit)
+        assert np.array_equal(counts, expect)
+        assert checksum == want
+
+    # at q1=7, q0=6 and bootstrap_B=9 the sign draw takes 117 half words,
+    # so every replication's stream ends with one buffered
+    @pytest.mark.parametrize("cfg", [
+        DidConfig(seed=SEED, replications=4, h_grid=(1, 5),
+                  delta_grid=(0.0, 2.0)),
+        DidConfig(q1=7, q0=6, bootstrap_B=9, seed=SEED, replications=6,
+                  h_grid=(1, 7), delta_grid=(0.0, 1.5))])
+    def test_did_block(self, cfg):
+        counts, checksum = sh._did_block(cfg, 0, cfg.replications)
+        expect = sum(_did_reference_decisions(cfg, rep)
+                     for rep in range(cfg.replications))
+        assert np.array_equal(counts, expect)
+        q = cfg.q1 + cfg.q0
+        t = cfg.n0 + cfg.n1
+        want = 0
+        for rep in range(cfg.replications):
+            gen = RngStream(cfg.seed, rep).generator()
+            for shape in ((cfg.burn_in + t, q), (t, q), (t, q), (t, q)):
+                want ^= zlib.crc32(gen.standard_normal(shape).tobytes())
+            signs = gen.integers(0, 2, (cfg.bootstrap_B, q)) * 2.0 - 1.0
+            want ^= zlib.crc32(signs.tobytes())
+        assert checksum == want
+
+
+# =========================================================================
 # Pure rescaling
 # =========================================================================
 

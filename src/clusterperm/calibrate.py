@@ -300,8 +300,7 @@ def calibrate_exhaustive(design: Design, alpha: float,
         binding, {"n_assignments": n, "j_star": j_star,
                   "restricted": variance_draws is not None})
     return AlphaEntry(q1=design.q1, q0=design.q0, alpha=float(alpha),
-                      bar_alpha=float(bar_exact), source="calibrated",
-                      bar_alpha_exact=bar_exact,
+                      bar_alpha_exact=bar_exact, source="calibrated",
                       diagnostics=diag)
 
 
@@ -345,8 +344,7 @@ def calibrate_sampled(design: Design, alpha: float,
                           "start": float(alpha), "n_assignments": n,
                           "restricted": variance_draws is not None})
             return AlphaEntry(q1=design.q1, q0=design.q0, alpha=float(alpha),
-                              bar_alpha=float(p), source="calibrated",
-                              bar_alpha_exact=p,
+                              bar_alpha_exact=p, source="calibrated",
                               diagnostics=diag)
         binding = {"level": float(p), "rate": rate, "draw_index": r_idx}
         p -= step

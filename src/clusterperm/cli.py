@@ -21,7 +21,9 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import secrets
 import sys
@@ -368,12 +370,13 @@ def _csv_record(payload: dict) -> str:
             return ""
         if isinstance(v, (list, tuple)):
             return " ".join(str(x) for x in v)
-        text = json.dumps(v) if isinstance(v, dict) else str(v)
-        return '"%s"' % text.replace('"', '""') if "," in text else text
+        return json.dumps(v) if isinstance(v, dict) else str(v)
 
-    keys = list(payload)
-    return (",".join(keys) + "\n"
-            + ",".join(cell(payload[k]) for k in keys))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(payload)
+    writer.writerow(map(cell, payload.values()))
+    return buf.getvalue().rstrip("\n")
 
 
 def dispatch(argv=None) -> int:

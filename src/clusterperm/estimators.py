@@ -16,12 +16,9 @@ study design; nothing here checks or estimates those variances.
 from __future__ import annotations
 
 import csv
-import gc
 import math
 import os
 import warnings
-from collections.abc import Sequence
-from operator import itemgetter
 
 import numpy as np
 
@@ -299,13 +296,9 @@ def _parse_float(value: str, column: str, lineno: int) -> float:
             f"{column!r}") from None
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
+def _read_rows(path) -> tuple[list[str], list[list[str]], list[int]]:
     """The stripped header, the non-blank records and their row numbers
     (record index + 2)."""
-    # The reader's lists hold no cycles, so collector passes over them are
-    # pure cost (a third of the read at 48,000 rows): pause the collector.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             records = list(csv.reader(fh))
@@ -313,24 +306,18 @@ def _read_rows(path) -> tuple[list[str], list[list[str]], Sequence[int]]:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise InputFormatError(f"{path}: {exc}") from None
-    finally:
-        if collecting:
-            gc.enable()
     if not records:
         raise InputFormatError(f"{path}: empty file")
     header = [h.strip() for h in records[0]]
-    rows = records[1:]
-    width = len(header)
-    linenos = range(2, len(rows) + 2)
-    if not (width and set(map(len, rows)) <= {width}
-            and all(map(str.strip, map(itemgetter(0), rows)))):
-        linenos = [n for n, row in zip(linenos, rows)
-                   if any(map(str.strip, row))]
-        rows = [rows[n - 2] for n in linenos]
-        for lineno, row in zip(linenos, rows):
-            if len(row) != width:
-                raise InputFormatError(
-                    f"row {lineno}: expected {width} fields, got {len(row)}")
+    rows, linenos = [], []
+    for lineno, row in enumerate(records[1:], 2):
+        if not any(map(str.strip, row)):
+            continue
+        if len(row) != len(header):
+            raise InputFormatError(
+                f"row {lineno}: expected {len(header)} fields, got {len(row)}")
+        rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise InputFormatError(f"{path}: no data rows")
     return header, rows, linenos
@@ -416,9 +403,8 @@ def _tokenized_columns(path):
 
 def _csv_columns(path):
     """(stripped cluster ids, the other columns as float arrays, whether
-    there is a post column), read by the csv module.  Columns are parsed
-    whole by float(); on a failure the rows are rescanned in order, so
-    the error names the first bad cell."""
+    there is a post column), read by the csv module row by row, so an
+    error names the first bad cell in row order."""
     header, rows, linenos = _read_rows(path)
     if tuple(header[:3]) != _OBS_PREFIX:
         raise InputFormatError(
@@ -427,23 +413,10 @@ def _csv_columns(path):
     binary = _text_columns(header)[1:]
     fields = [(j, header[j], _parse_binary if j in binary else _parse_float)
               for j in range(1, len(header))]
-
-    values = []
-    try:
-        for j, _, parse in fields:
-            cells = itemgetter(j)
-            if parse is _parse_binary and not {"0", "1"}.issuperset(
-                    map(str.strip, map(cells, rows))):
-                raise ValueError
-            values.append(np.fromiter(map(float, map(cells, rows)), float,
-                                      len(rows)))
-    except ValueError:
-        for lineno, row in zip(linenos, rows):
-            for j, name, parse in fields:
-                parse(row[j], name, lineno)
-        raise
-    return (list(map(str.strip, map(itemgetter(0), rows))), values,
-            3 in binary)
+    table = np.empty((len(rows), len(fields)))
+    for i, (lineno, row) in enumerate(zip(linenos, rows)):
+        table[i] = [parse(row[j], name, lineno) for j, name, parse in fields]
+    return [row[0].strip() for row in rows], list(table.T), 3 in binary
 
 
 def ingest_csv(path) -> ClusterDataset:

@@ -247,25 +247,15 @@ def _reset_streams(seed: int, ids: np.ndarray):
 
 def enumerate_assignments(design: Design) -> np.ndarray:
     """All C(q, q1) assignments as one (N, q1) intp array in lexicographic
-    order, identity first.  Level r lists the r-subsets of [q1 - r, q): per
-    first index f, f before the (r - 1)-subsets of [f + 1, q), which end
-    level r - 1.  The levels hold N * (q + 1) / (q0 + 1) rows in all."""
+    order, identity first: the rows of `itertools.combinations`."""
     n = design.n_assignments
     if n > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
             f"full enumeration needs {n} assignments, above the cap of "
             f"{DEFAULT_ENUMERATION_CAP}; pass sampled assignments instead")
     q, q1 = design.q, design.q1
-    rows = np.arange(q1 - 1, q, dtype=np.intp)[:, None]
-    for r in range(2, q1 + 1):
-        firsts = np.arange(q1 - r, q - r + 1)
-        sizes = [math.comb(q - f - 1, r - 1) for f in firsts.tolist()]
-        level = np.empty((sum(sizes), r), dtype=np.intp)
-        level[:, 0] = np.repeat(firsts, sizes)
-        for size, end in zip(sizes, itertools.accumulate(sizes)):
-            level[end - size:end, 1:] = rows[-size:]
-        rows = level
-    return rows
+    cells = itertools.chain.from_iterable(itertools.combinations(range(q), q1))
+    return np.fromiter(cells, np.intp, count=n * q1).reshape(n, q1)
 
 
 def check_assignments(design: Design, assignments) -> np.ndarray:

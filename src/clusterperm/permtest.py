@@ -142,11 +142,10 @@ class _Relabelings(NamedTuple):
     count_ge: int
     count_le: int
     nth: Callable[[int], float]
-    source: str
 
 
-def _relabelings(x: np.ndarray, design: Design, assignments) -> _Relabelings:
-    """The statistic over the collection (the full enumeration when None).
+def _relabelings(x: np.ndarray, design: Design, idx) -> _Relabelings:
+    """The statistic over a checked collection (None: the full enumeration).
 
     T(gx) depends on g only through the treated-entry sum S: T = coef * S
     - sum(x)/q0 with coef = 1/q1 + 1/q0 > 0.  So both engines count and
@@ -159,7 +158,6 @@ def _relabelings(x: np.ndarray, design: Design, assignments) -> _Relabelings:
     """
     coef = 1.0 / design.q1 + 1.0 / design.q0
     base = float(x.sum()) / design.q0
-    idx, source = _collection(design, assignments)
     if idx is None:
         sums = enumeration_sums(design, x)
         n, count_ge, count_le, sum_at = (
@@ -179,7 +177,7 @@ def _relabelings(x: np.ndarray, design: Design, assignments) -> _Relabelings:
 
     return _Relabelings(
         n, coef * float(x[:design.q1].sum()) - base, count_ge, count_le,
-        lambda i: coef * sum_at(i) - base, source)
+        lambda i: coef * sum_at(i) - base)
 
 
 # ---------------------------------------------------------------------------
@@ -261,36 +259,34 @@ class AlphaEntry:
     """An adjusted level bar_alpha for a (q1, q0, alpha) triple.
 
     order_index is the 1-based index j = ceil((1-bar_alpha)*N) into the
-    sorted full-enumeration permutation distribution (N = C(q, q1)),
-    derived from bar_alpha_exact; a starred table cell has
-    bar_alpha_exact = 1/N, so j = N-1.  bar_alpha is a
-    permutation-quantile level, not a size, so bar_alpha <= alpha is not
-    required.  bar_alpha_exact carries the value as an exact rational so
-    indices for other collection sizes (sampled assignment sets) stay
-    exact.
+    sorted full-enumeration permutation distribution (N = C(q, q1));
+    a starred table cell has bar_alpha_exact = 1/N, so j = N-1.
+    bar_alpha is a permutation-quantile level, not a size, so
+    bar_alpha <= alpha is not required.  The level is stored once, as
+    the exact rational bar_alpha_exact, so indices for other collection
+    sizes (sampled assignment sets) stay exact; bar_alpha is its float.
     """
 
     q1: int
     q0: int
     alpha: float
-    bar_alpha: float
+    bar_alpha_exact: Fraction
     source: str
     starred: bool = False
-    bar_alpha_exact: Fraction = field(repr=False, default=None)  # type: ignore[assignment]
     diagnostics: dict | None = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.bar_alpha_exact is None:
-            object.__setattr__(self, "bar_alpha_exact", Fraction(self.bar_alpha))
-        if self.bar_alpha != float(self.bar_alpha_exact):
-            raise DomainError(
-                f"bar_alpha {self.bar_alpha} and bar_alpha_exact "
-                f"{self.bar_alpha_exact} are different levels")
+        object.__setattr__(self, "bar_alpha_exact",
+                           Fraction(self.bar_alpha_exact))
         n = Design(self.q1, self.q0).n_assignments
         if not (1 <= self.order_index <= n - 1):
             raise DomainError(
                 f"order index {self.order_index} outside [1, {n - 1}]: "
                 "the test would be trivial")
+
+    @property
+    def bar_alpha(self) -> float:
+        return float(self.bar_alpha_exact)
 
     @property
     def order_index(self) -> int:
@@ -355,9 +351,8 @@ def lookup_bar_alpha(q1: int, q0: int, alpha: float) -> AlphaEntry:
             f"{advice}", smallest_feasible=bound)
     starred = printed == _STAR
     exact = Fraction(1, design.n_assignments) if starred else Fraction(printed)
-    return AlphaEntry(q1=q1, q0=q0, alpha=float(key), bar_alpha=float(exact),
-                      source="tabulated", starred=starred,
-                      bar_alpha_exact=exact)
+    return AlphaEntry(q1=q1, q0=q0, alpha=float(key), bar_alpha_exact=exact,
+                      source="tabulated", starred=starred)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +373,6 @@ class TestOutcome:
     critical_value: float
     p_value_right: float
     p_value_left: float
-    p_value_two_sided: float
     decision: str
     side: str
     alpha: float
@@ -386,6 +380,10 @@ class TestOutcome:
     lam: float = 0.0
     n_assignments: int | None = None
     assignment_source: str | None = None
+
+    @property
+    def p_value_two_sided(self) -> float:
+        return min(1.0, 2.0 * min(self.p_value_right, self.p_value_left))
 
     def to_json_dict(self) -> dict:
         return {
@@ -442,25 +440,24 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
     x = theta_hat.values.copy()
     x[:design.q1] -= lam
     _check_sums_finite(x, "cluster estimates after the lambda shift")
+    idx, source = _collection(design, assignments)
 
     if bool(np.all(x == x[0])):
         warnings.warn(
             "all cluster estimates coincide after the lambda shift; the "
             "permutation distribution is a point mass and the test retains",
             DegeneracyWarning, stacklevel=2)
-        idx, source = _collection(design, assignments)
         n = design.n_assignments if idx is None else len(idx)
         return TestOutcome(
             statistic=0.0, critical_value=0.0, p_value_right=1.0,
-            p_value_left=1.0, p_value_two_sided=1.0, decision="retain",
-            side=side, alpha=alpha, bar_alpha_used=entry.bar_alpha, lam=lam,
-            n_assignments=n, assignment_source=source)
+            p_value_left=1.0, decision="retain", side=side, alpha=alpha,
+            bar_alpha_used=entry.bar_alpha, lam=lam, n_assignments=n,
+            assignment_source=source)
 
-    rel = _relabelings(x, design, assignments)
+    rel = _relabelings(x, design, idx)
     n, count_ge, count_le, nth = rel.n, rel.count_ge, rel.count_le, rel.nth
     p_right = count_ge / n
     p_left = count_le / n
-    p_two = min(1.0, 2.0 * min(p_right, p_left))
 
     j = entry.order_index_for(n)
     k = n - j
@@ -481,7 +478,7 @@ def adjusted_test(theta_hat: ClusterEstimates, alpha: float,
 
     return TestOutcome(
         statistic=rel.statistic, critical_value=crit,
-        p_value_right=p_right, p_value_left=p_left, p_value_two_sided=p_two,
+        p_value_right=p_right, p_value_left=p_left,
         decision="reject" if decision else "retain", side=side, alpha=alpha,
         bar_alpha_used=entry.bar_alpha, lam=lam,
-        n_assignments=n, assignment_source=rel.source)
+        n_assignments=n, assignment_source=source)

@@ -563,6 +563,22 @@ class TestTestCommand:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "UsageError"
 
+    def test_csv_record_quotes_like_the_csv_module(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # a cell that opens with a quote must be quoted, as one with a
+        # comma is, or a csv reader runs it into the cells after it
+        monkeypatch.chdir(tmp_path)
+        write_estimates_csv(tmp_path / '"q.csv', list(range(8)), q1=4)
+        code, out, _ = run_cli(capsys, "test", "--input", '"q.csv',
+                               "--alpha", "0.10", "--csv")
+        _, payload, _ = run_cli(capsys, "test", "--input", '"q.csv',
+                                "--alpha", "0.10", "--json")
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["input"] == '"q.csv'
+        assert row["decision"] == json.loads(payload)["decision"]
+        assert list(row) == list(json.loads(payload))
+
 
 # =========================================================================
 # power

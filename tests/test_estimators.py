@@ -457,8 +457,9 @@ class TestLoadEstimates:
 
 
 def _row_loop_ingest(path):
-    """Oracle: the row-by-row reader and per-cell parse that ingest_csv
-    replaced (blank records skipped, row numbers = record index + 2)."""
+    """Oracle: a row-by-row reader with a per-cell parse, written apart
+    from ingest_csv (blank records skipped, row numbers = record index
+    + 2)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -573,8 +574,8 @@ def _observations_text(draw):
 
 
 class TestColumnIngestion:
-    """ingest_csv parses per column; the row loop it replaced is the
-    oracle for values, grouping and error messages."""
+    """ingest_csv against an independent row loop, the oracle for
+    values, grouping and error messages."""
 
     @given(text=_observations_text())
     @settings(max_examples=300, deadline=None)

@@ -104,7 +104,7 @@ class TestArrayContract:
             weight_matrix(d, bad)
         x = ClusterEstimates(d, [3.0, 1.0, 0.5, -1.0])
         # design (2, 2) has no tabulated level, so supply one
-        entry = AlphaEntry(q1=2, q0=2, alpha=0.5, bar_alpha=0.5,
+        entry = AlphaEntry(q1=2, q0=2, alpha=0.5, bar_alpha_exact=0.5,
                            source="calibrated")
         with pytest.raises(error):
             adjusted_test(x, alpha=0.5, assignments=bad, alpha_entry=entry)

@@ -222,7 +222,7 @@ def p_value(x: ClusterEstimates, assignments=None) -> float:
     """The adjusted test's right-tail p-value, at bar_alpha = 1/2, whose
     order index lies in [1, n-1] for every collection size n >= 2."""
     entry = AlphaEntry(q1=x.design.q1, q0=x.design.q0, alpha=0.5,
-                       bar_alpha=0.5, source="calibrated")
+                       bar_alpha_exact=0.5, source="calibrated")
     return adjusted_test(x, 0.5, assignments=assignments,
                          alpha_entry=entry).p_value_right
 
@@ -373,20 +373,21 @@ class TestLookupBarAlpha:
         # that can never reject
         for q, bar in ((4, 0.001), (2, 0.05)):
             with pytest.raises(DomainError):
-                AlphaEntry(q1=q, q0=q, alpha=0.5, bar_alpha=bar,
+                AlphaEntry(q1=q, q0=q, alpha=0.5, bar_alpha_exact=bar,
                            source="calibrated")
-        e = AlphaEntry(q1=2, q0=2, alpha=0.5, bar_alpha=0.5,
+        e = AlphaEntry(q1=2, q0=2, alpha=0.5, bar_alpha_exact=0.5,
                        source="calibrated")
         assert e.order_index == 3 == e.to_json_dict()["order_index"]
 
     def test_alpha_entry_levels_must_agree(self):
-        # the decision follows bar_alpha_exact and the record bar_alpha,
-        # so an entry carrying two different levels is refused
-        with pytest.raises(DomainError, match="different levels"):
+        # the decision follows bar_alpha_exact and the record bar_alpha;
+        # the entry stores only the first, so they cannot differ
+        with pytest.raises(TypeError):
             AlphaEntry(q1=4, q0=4, alpha=0.1, bar_alpha=0.05, source="x",
                        bar_alpha_exact=Fraction(1, 10))
-        e = AlphaEntry(q1=4, q0=4, alpha=0.1, bar_alpha=0.1, source="x",
-                       bar_alpha_exact=Fraction(0.1))
+        e = AlphaEntry(q1=4, q0=4, alpha=0.1, bar_alpha_exact=0.1, source="x")
+        assert e.bar_alpha_exact == Fraction(0.1)
+        assert e.bar_alpha == 0.1 == e.to_json_dict()["bar_alpha"]
         assert e.order_index == 63
 
 
@@ -587,7 +588,7 @@ class TestExplicitFullEnumeration:
         d = Design(q1, q0)
         n = d.n_assignments
         # bar_alpha = 1/2 gives an order index in [1, n-1] for every n >= 2
-        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha=0.5,
+        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha_exact=0.5,
                            source="calibrated")
         every = _all_assignments(d)
         gen = np.random.default_rng(100 * q1 + q0)
@@ -616,7 +617,7 @@ class TestExplicitFullEnumeration:
         d = Design(1, 4)
         x = [1.6000000000000005, 1.599999999999999, 1.5999999999999996,
              1.6000000000000005, 1.6000000000000008]
-        entry = AlphaEntry(q1=1, q0=4, alpha=0.5, bar_alpha=0.5,
+        entry = AlphaEntry(q1=1, q0=4, alpha=0.5, bar_alpha_exact=0.5,
                            source="calibrated")
         for assignments in (None, enumerate_assignments(d)):
             out = adjusted_test(ClusterEstimates(d, x), alpha=0.5,
@@ -633,7 +634,7 @@ class TestSplitSumCount:
     def test_matches_integer_sum_oracle(self, q1, q0, bar):
         d = Design(q1, q0)
         n = d.n_assignments
-        entry = AlphaEntry(q1=q1, q0=q0, alpha=2 * bar, bar_alpha=bar,
+        entry = AlphaEntry(q1=q1, q0=q0, alpha=2 * bar, bar_alpha_exact=bar,
                            source="calibrated")
         x = np.random.default_rng(q1).integers(0, 5, d.q)
         counts = _subset_sum_counts(x.tolist(), q1)
@@ -700,8 +701,8 @@ class TestSplitSumCount:
         # bar_alpha = 1/n, i.e. j = n - 1
         exact = (Fraction(bar) if order_index_from_level(bar, n) < n
                  else Fraction(1, n))
-        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha=float(exact),
-                           source="calibrated", bar_alpha_exact=exact)
+        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha_exact=exact,
+                           source="calibrated")
         est = ClusterEstimates(d, x)
         every = _all_assignments(d)
         for side in ("right", "left", "two-sided"):
@@ -755,8 +756,8 @@ class TestIntegerSums:
         bar = data.draw(st.sampled_from([0.5, 0.2, 0.05]))
         exact = (Fraction(bar) if order_index_from_level(bar, n) < n
                  else Fraction(1, n))
-        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha=float(exact),
-                           source="calibrated", bar_alpha_exact=exact)
+        entry = AlphaEntry(q1=q1, q0=q0, alpha=0.5, bar_alpha_exact=exact,
+                           source="calibrated")
         assert isinstance(enumeration_sums(d, x), IntegerSums)
         est = ClusterEstimates(d, x)
         gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -781,7 +782,7 @@ class TestIntegerSums:
         # per half; the table holds 51 sizes by 251 sums
         d = Design(50, 50)
         x = np.random.default_rng(50).integers(0, 6, d.q).astype(float)
-        entry = AlphaEntry(q1=50, q0=50, alpha=0.1, bar_alpha=0.05,
+        entry = AlphaEntry(q1=50, q0=50, alpha=0.1, bar_alpha_exact=0.05,
                            source="calibrated")
         est = ClusterEstimates(d, x)
         for side in ("right", "left", "two-sided"):
